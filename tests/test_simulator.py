@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fadepower import simulator
 from fadepower.channel import ChannelModel, max_rate
 from fadepower.markov import achieved_loss_rate, steady_state_for
 from fadepower.policy import Policy, ProblemSpec, make_policy
-from fadepower.simulator import SimConfig, simulate, validate
+from fadepower.simulator import SimConfig, SimReport, simulate, validate
 
 CH = ChannelModel()
 
@@ -171,3 +173,139 @@ def test_occupancy_converges_across_seeds():
             if abs(occ - p) >= 5 * math.sqrt(p * (1 - p) / slots):
                 bad += 1
     assert bad == 0
+
+
+def reference_simulate(cfg):
+    """The per-slot definition of simulate(): one Python step per slot."""
+    policy = cfg.policy
+    n = cfg.burst_bound
+    ch = cfg.channel
+    thresholds = []
+    for p, r in zip(policy.powers, policy.rates):
+        if r == 0.0:
+            thresholds.append(0.0)
+        elif p == 0.0:
+            thresholds.append(math.inf)
+        else:
+            thresholds.append((2.0**r - 1.0) * ch.noise_power / (p * ch.mean_fading_power))
+
+    rng = np.random.default_rng(cfg.seed)
+    total = cfg.burn_in + cfg.slots
+    gains = rng.exponential(ch.mean_fading_power, size=total).tolist()
+
+    state = 0
+    run_len = 0
+    for t in range(cfg.burn_in):
+        if gains[t] < thresholds[state]:
+            run_len += 1
+            state = state + 1 if state < n else n
+        else:
+            run_len = 0
+            state = 0
+
+    slots_in = [0] * (n + 1)
+    losses_in = [0] * (n + 1)
+    hist = {}
+    violations = 0
+    for t in range(cfg.burn_in, total):
+        slots_in[state] += 1
+        if gains[t] < thresholds[state]:
+            losses_in[state] += 1
+            if state == n:
+                violations += 1
+            run_len += 1
+            state = state + 1 if state < n else n
+        else:
+            if run_len > 0:
+                hist[run_len] = hist.get(run_len, 0) + 1
+            run_len = 0
+            state = 0
+    if run_len > 0:
+        hist[run_len] = hist.get(run_len, 0) + 1
+
+    slots = cfg.slots
+    return SimReport(
+        empirical_gamma=sum(losses_in) / slots,
+        empirical_eps_out=losses_in[n] / slots_in[n] if slots_in[n] > 0 else None,
+        occupancy=tuple(c / slots for c in slots_in),
+        run_length_histogram=hist,
+        avg_power=sum(p * c for p, c in zip(policy.powers, slots_in)) / slots,
+        transmitted_rate=sum(r * c for r, c in zip(policy.rates, slots_in)) / slots,
+        delivered_rate=(
+            sum(r * (c - l) for r, c, l in zip(policy.rates, slots_in, losses_in)) / slots
+        ),
+        violations=violations,
+        state_slots=tuple(slots_in),
+        state_losses=tuple(losses_in),
+    )
+
+
+def fixed_rate(eps):
+    return make_policy(eps, [1.0] * len(eps), CH)
+
+
+LOWLOSS = (0.05, 0.1, 0.1, 0.05)
+BURSTY = (0.3, 0.5, 0.6, 0.7, 0.75, 0.8, 0.8, 0.85, 0.85, 0.9, 0.9)
+_P = fixed_rate((0.2, 0.5, 0.3)).powers
+WALK_POLICIES = {
+    "n1": ref_policy(),
+    "n3": fixed_rate(LOWLOSS),
+    "n10": fixed_rate(BURSTY),
+    # threshold 0 in state 0: no loss there, so runs start only in state 1
+    "zero_rate": Policy(eps=(0.0, 0.4, 0.2), rates=(0.0, 1.0, 1.0), powers=(0.0, *_P[1:])),
+    # threshold inf in state 1: no slot is a sure success
+    "zero_power": Policy(eps=(0.2, 1.0, 0.3), rates=(1.0,) * 3, powers=(_P[0], 0.0, _P[2])),
+    # terminal state never succeeds: one run that crosses every chunk
+    "stuck": Policy(eps=(0.05, 1.0), rates=(1.0, 1.0), powers=(fixed_rate((0.05, 0.5)).powers[0], 0.0)),
+    "eps_0999": fixed_rate((0.5, 0.999, 0.3)),
+    # more states than one byte can number
+    "n300": fixed_rate((0.999,) * 301),
+}
+
+
+@pytest.mark.parametrize("burn_in", [0, 1, 1000])
+@pytest.mark.parametrize("name", sorted(WALK_POLICIES))
+def test_walk_matches_per_slot_definition(monkeypatch, name, burn_in):
+    pol = WALK_POLICIES[name]
+    monkeypatch.setattr(simulator, "_CHUNK", 64)
+    for finish in (0, 8):
+        monkeypatch.setattr(simulator, "_SCALAR_FINISH", finish)
+        for slots in (1, 7, 1000):
+            for seed in (0, 1):
+                cfg = SimConfig(policy=pol, channel=CH, slots=slots, seed=seed,
+                                burst_bound=pol.n_states, burn_in=burn_in)
+                assert simulate(cfg) == reference_simulate(cfg), (finish, slots, seed)
+
+
+@pytest.mark.parametrize("name", ["n3", "n10", "zero_power", "eps_0999"])
+def test_walk_matches_per_slot_definition_across_full_chunks(name):
+    pol = WALK_POLICIES[name]
+    cfg = SimConfig(policy=pol, channel=CH, slots=2 * simulator._CHUNK + 12_345, seed=7,
+                    burst_bound=pol.n_states, burn_in=1000)
+    assert simulate(cfg) == reference_simulate(cfg)
+
+
+def test_histogram_keys_increase():
+    hist = sim(fixed_rate(BURSTY), 50_000, seed=3).run_length_histogram
+    assert list(hist) == sorted(hist)
+
+
+def test_memory_flat_in_slots():
+    pol = fixed_rate(LOWLOSS)
+
+    def peak(slots):
+        tracemalloc.start()
+        try:
+            sim(pol, slots, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4_000_000) <= 1.5 * peak(1_000_000)
+
+
+def test_validate_bursty_table_scores_low_across_seeds():
+    pol = fixed_rate(BURSTY)
+    spec = spec_for(pol)
+    worst = [validate(pol, spec, 200_000, seed).max_abs_z for seed in range(20)]
+    assert max(worst) <= 4.0, worst
