@@ -1,28 +1,53 @@
-"""Simulated-annealing solvers for the two policy problems.
+"""Budgeted random-search solvers for the two policy problems.
 
-Both solvers share the same skeleton: a fast-annealing cooling schedule
-T_b = T0/(c_sa*b + 1), a fixed number of candidate draws per temperature
-step, feasibility filtering before any objective evaluation, and a
-Metropolis chain over the feasible candidates.  A worse candidate is
-accepted ("muting") with probability exp(-(candidate - current)/T), which
-lets the chain escape local minima early on; the best candidate ever seen
-is tracked separately and muting never overwrites it.
+Both solvers draw candidate tables in blocks and return the cheapest
+feasible one.  The number of draws follows a fast-annealing cooling
+schedule T_b = T0/(c_sa*b + 1): one step per temperature from T0 down to
+t_min, `outer_per_temp` candidate tables per step.
 
-Candidate generation, which the underlying method leaves open:
+There is no Metropolis walk.  Candidates are drawn independently of the
+chain's current point, and a candidate no worse than the best seen always
+passes the Metropolis test, so the best table an annealing walk over
+these proposals reports is exactly the minimum over the feasible draws.
+One search loop therefore reduces each block of draws with a vectorised
+argmin; the schedule only sets the budget.  `temperature` and
+`metropolis_accept` remain the public definitions of that schedule and of
+the acceptance test.
 
-* outage vectors are drawn uniformly per state on (DELTA, u_i) with
-  u_N = min(eps_out, 1-DELTA) and u_i = 1-DELTA for i < N; the fixed-rate
-  solver additionally sorts each draw into non-increasing order, since at
-  constant rate the optimal powers are non-decreasing in the state index
-  and sorting restricts sampling to that set without excluding the
-  optimum;
-* for the variable-rate problem, each surviving outage vector is paired
-  with `rate_inner` rate vectors drawn uniformly on [r_min, r_max] per
-  state.
+Fixed rate: every table drawn meets C2, C3 and PEAK by construction.  At
+rate R the power realising outage e is k/(-ln(1 - e)), k = (2^R - 1)N0/Omega,
+and losses are ordered worst state last (eps non-increasing, powers
+non-decreasing), which does not exclude the optimum.
 
-The run evaluates a fixed budget of candidates (no adaptive stopping) and
-terminates when the temperature falls below t_min.  Everything is a pure
-function of (spec, schedule): identical inputs give identical results.
+* eps_1..eps_N are drawn uniformly on [lo, cap], one of them on
+  [lo, min(eps_out, cap)], and sorted into non-increasing order, so
+  eps_N <= eps_out.  lo = max(DELTA, 1 - exp(-k/P_m))
+  is the peak cap expressed as an outage floor; cap = min(1 - DELTA,
+  gamma/(1 - gamma)) is the largest value eps_0 can take, so with the
+  order it bounds every state.
+* The product form gives gamma_r = 1 - pi_0 = eps_0 W_1/(1 + eps_0 W_1),
+  with W_1 = 1 + eps_1 + eps_1 eps_2 + ... + eps_1...eps_{N-1}/(1 - eps_N).
+  C2 is therefore eps_0 <= gamma/((1 - gamma) W_1).
+* eps_0 = lb + t*(ub - lb) with t ~ U(0, 1), ub = min(1 - DELTA,
+  gamma/((1 - gamma) W_1)) and lb = max(lo, eps_1).  A draw with ub < lb
+  violates only the power order and is the one rejection left.
+* eps_0 is drawn, not pinned to ub: a binding loss budget is not optimal
+  at small eps_out (pinned, N=1 at eps_out 0.02 costs 12.746 W against an
+  optimum of 11.877 W).
+* An empty box, min(eps_out, cap) < lo, certifies infeasibility:
+  eps_N >= lo > eps_out breaks C3, or gamma_r >= min eps >= lo >
+  gamma/(1 - gamma) >= gamma breaks C2, or no outage fits the guard band.
+  solve_fixed reports the first case as an empty feasibility window
+  (ValueError) and the others as NoFeasibleSolution(0), before drawing.
+
+Variable rate: outage vectors are drawn uniformly per state on
+(DELTA, u_i), u_N = min(eps_out, 1 - DELTA) and u_i = 1 - DELTA for i < N;
+each one that meets C2 is paired with `rate_inner` rate vectors drawn
+uniformly on [r_min, r_max] per state, and the pairs that meet C1 and
+PEAK are feasible.
+
+Everything is a pure function of (spec, schedule): identical inputs give
+identical results.
 """
 
 from __future__ import annotations
@@ -38,7 +63,8 @@ from .markov import steady_state_for
 from .policy import Policy, ProblemSpec, average_power, make_policy
 
 # Candidate rows processed per vectorized batch (several temperature
-# steps at a time); affects speed only, not results for a given seed.
+# steps at a time).  It bounds the memory of one block; results for a
+# given seed depend on it too, through the order of the draws.
 _BLOCK_ROWS = 65536
 
 # Fallback initial temperature when no probe candidate is feasible.
@@ -47,16 +73,20 @@ _T0_FALLBACK = 100.0
 
 @dataclass(frozen=True)
 class AnnealingSchedule:
-    """Cooling schedule and draw budget of one solver run.
+    """Cooling schedule, and with it the draw budget, of one solver run.
+
+    The run takes floor((t0/t_min - 1)/c_sa) + 1 temperature steps of
+    outer_per_temp candidate tables each.
 
     t0:             initial temperature; None picks 10x the smallest
-                    feasible average power found in a short probe
-                    (falling back to 100 when the probe finds nothing)
+                    feasible average power found in a probe of
+                    10*outer_per_temp draws (100 when the probe finds
+                    nothing), clamped to [10*t_min, 1000]
     c_sa:           cooling constant of T_b = t0/(c_sa*b + 1)
     t_min:          stopping temperature
     outer_per_temp: candidate outage vectors drawn per temperature step
-    rate_inner:     rate vectors drawn per surviving outage vector
-                    (variable-rate solver only)
+    rate_inner:     rate vectors drawn per outage vector that meets the
+                    loss budget (variable-rate solver only)
     seed:           RNG seed; equal seeds reproduce the run bit-exactly
     """
 
@@ -86,13 +116,15 @@ class AnnealingSchedule:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of one annealing run.
+    """Outcome of one solver run: the minimum over its feasible draws.
 
     evaluated_count counts every candidate draw (outage vectors plus, for
     the variable-rate solver, rate vectors); feasible_count the fully
-    feasible candidates among them; accepted_count the Metropolis
-    acceptances.  trace holds (temperature, current, best) samples taken
-    once per processed batch; best is non-increasing along it.
+    feasible candidates among them; accepted_count the draws that lowered
+    the running best, in draw order.  trace holds one (temperature,
+    block minimum, best) sample per block of temperature steps: the last
+    temperature of the block, the cheapest feasible draw of the block
+    (inf when it has none) and the best so far, which is non-increasing.
     """
 
     best_avg_power: float
@@ -135,53 +167,6 @@ def metropolis_accept(
     return s < math.exp(-delta / temperature)
 
 
-class _Chain:
-    """Metropolis chain state plus the best-ever record."""
-
-    __slots__ = ("cur", "best", "best_eps", "best_rates", "accepted")
-
-    def __init__(self) -> None:
-        self.cur = math.inf
-        self.best = math.inf
-        self.best_eps = None
-        self.best_rates = None
-        self.accepted = 0
-
-    def consume(self, pbars, thresholds, eps_rows, rate_rows=None) -> None:
-        """Walk one batch of feasible candidates in draw order.
-
-        thresholds[k] = -T_k*ln(s_k), so `pbar - cur < threshold` is the
-        Metropolis test with the uniform draw s_k already folded in.
-        """
-        cur = self.cur
-        best = self.best
-        accepted = 0
-        j_best = -1
-        for j, (p, th) in enumerate(zip(pbars.tolist(), thresholds.tolist())):
-            if p - cur < th:
-                cur = p
-                accepted += 1
-                if p <= best:
-                    best = p
-                    j_best = j
-        if j_best >= 0:
-            self.best_eps = np.array(eps_rows[j_best], dtype=float)
-            if rate_rows is not None:
-                self.best_rates = np.array(rate_rows[j_best], dtype=float)
-        self.cur = cur
-        self.best = best
-        self.accepted += accepted
-
-
-def _draw_eps(rng, rows: int, n1: int, u_last: float, sort_desc: bool):
-    highs = np.full(n1, 1.0 - DELTA)
-    highs[-1] = u_last
-    e = rng.uniform(DELTA, highs, size=(rows, n1))
-    if sort_desc:
-        e = np.sort(e, axis=1)[:, ::-1]
-    return e
-
-
 def _steady_rows(e):
     """Stationary distributions of many outage vectors at once.
 
@@ -196,165 +181,155 @@ def _steady_rows(e):
     return w / w.sum(axis=1, keepdims=True)
 
 
-def _thresholds(rng, temps):
-    s = rng.random(temps.size)
-    with np.errstate(divide="ignore"):
-        return -temps * np.log(s)
+def _fixed_draw(spec: ProblemSpec, rng):
+    """Block draw of the fixed-rate problem; see the module docstring.
+
+    Raises NoFeasibleSolution(0) when the draw box is empty.
+    """
+    ch = spec.channel
+    n = spec.n_states
+    rates = (spec.avg_rate,) * (n + 1)
+    k_power = (2.0**spec.avg_rate - 1.0) * ch.noise_power / ch.mean_fading_power
+    odds = spec.gamma / (1.0 - spec.gamma)
+    lo = max(DELTA, -math.expm1(-k_power / spec.peak_power))
+    highs = np.full(n, min(1.0 - DELTA, odds))
+    highs[-1] = min(spec.eps_out, highs[-1])
+    if highs[-1] < lo:
+        raise NoFeasibleSolution(0)
+    widths = highs - lo
+
+    def draw(rows: int):
+        tail = np.sort(lo + rng.random((rows, n)) * widths, axis=1)[:, ::-1]
+        t = rng.random(rows)
+        # w[:, j-1] = eps_1*...*eps_{j-1}, the terminal one over (1 - eps_N),
+        # so pi = (1, eps_0*w) / (1 + eps_0*W_1) with W_1 = sum(w).
+        w = np.ones((rows, n))
+        w[:, 1:] = np.cumprod(tail[:, :-1], axis=1)
+        w[:, -1] /= 1.0 - tail[:, -1]
+        w1 = w.sum(axis=1)
+        ub = np.minimum(1.0 - DELTA, odds / w1)
+        lb = np.maximum(lo, tail[:, 0])
+        e0 = lb + t * (ub - lb)
+        tail_cost = np.einsum("ij,ij->i", w, 1.0 / -np.log1p(-tail))
+        pbar = k_power * (1.0 / -np.log1p(-e0) + e0 * tail_cost) / (1.0 + e0 * w1)
+        ok = ub >= lb
+        pbar[~ok] = np.inf
+        return rows, int(np.count_nonzero(ok)), pbar, lambda j: ((e0[j], *tail[j]), rates)
+
+    return draw
 
 
-def _fixed_batch(spec: ProblemSpec, e, k_power: float, p_out: float):
-    """Feasible indices and average powers of one fixed-rate batch."""
-    p = k_power / (-np.log1p(-e))
-    pi = _steady_rows(e)
-    gamma_r = np.einsum("ij,ij->i", e, pi)
-    gate = (
-        (p.max(axis=1) <= spec.peak_power)
-        & (p[:, -1] >= p_out)
-        & (gamma_r <= spec.gamma)
+def _variable_draw(spec: ProblemSpec, rate_inner: int, rng):
+    """Block draw of the variable-rate problem; see the module docstring.
+
+    Raises NoFeasibleSolution(0) when no outage fits under eps_out.
+    """
+    ch = spec.channel
+    n1 = spec.n_states + 1
+    highs = np.full(n1, 1.0 - DELTA)
+    highs[-1] = min(spec.eps_out, highs[-1])
+    if highs[-1] <= DELTA:
+        raise NoFeasibleSolution(0)
+    widths = highs - DELTA
+
+    def draw(rows: int):
+        e = DELTA + rng.random((rows, n1)) * widths
+        pi = _steady_rows(e)
+        surv = np.nonzero(np.einsum("ij,ij->i", e, pi) <= spec.gamma)[0]
+        rates = rng.uniform(spec.r_min, spec.r_max, size=(surv.size * rate_inner, n1))
+        coef = ch.noise_power / (-np.log1p(-e[surv]) * ch.mean_fading_power)
+        powers = (np.exp2(rates) - 1.0) * np.repeat(coef, rate_inner, axis=0)
+        pi = np.repeat(pi[surv], rate_inner, axis=0)
+        ok = (powers.max(axis=1) <= spec.peak_power) & (
+            np.einsum("ij,ij->i", rates, pi) >= spec.avg_rate
+        )
+        pbar = np.einsum("ij,ij->i", powers, pi)
+        pbar[~ok] = np.inf
+        return (
+            rows + rates.shape[0],
+            int(np.count_nonzero(ok)),
+            pbar,
+            lambda j: (e[surv[j // rate_inner]].copy(), rates[j].copy()),
+        )
+
+    return draw
+
+
+def _search(schedule: AnnealingSchedule, draw):
+    """Minimum over every feasible draw of the schedule's budget.
+
+    draw(rows) returns (candidates evaluated, how many are feasible,
+    their average powers with inf for infeasible ones, and a function
+    giving the (eps, rates) table of a candidate by index).  Returns
+    (best table, improvements, feasible, evaluated, trace).
+    """
+    best = math.inf
+    best_table = None
+    improved = feasible = evaluated = 0
+    trace: list[tuple[float, float, float]] = []
+    for temps in _temperature_blocks(schedule):
+        drawn, ok, pbar, table = draw(temps.size * schedule.outer_per_temp)
+        evaluated += drawn
+        feasible += ok
+        block_min = math.inf
+        below = pbar[pbar < best]
+        if below.size:
+            # each strict prefix minimum of `below` lowers the running best
+            improved += 1 + int(np.count_nonzero(below[1:] < np.minimum.accumulate(below[:-1])))
+            j = int(np.argmin(pbar))
+            block_min = best = float(pbar[j])
+            best_table = table(j)
+        elif pbar.size:
+            block_min = float(pbar.min())
+        trace.append((float(temps[-1]), block_min, best))
+        del table  # frees this block's draws before the next block is drawn
+    if best_table is None:
+        raise NoFeasibleSolution(evaluated)
+    return best_table, improved, feasible, evaluated, tuple(trace)
+
+
+def _solve(spec: ProblemSpec, schedule: AnnealingSchedule, draw) -> SolveResult:
+    """Run the search and evaluate its best table."""
+    (eps, rates), improved, feasible, evaluated, trace = _search(
+        _resolve_t0(schedule, draw), draw
     )
-    idx = np.nonzero(gate)[0]
-    pbar = np.einsum("ij,ij->i", p[idx], pi[idx])
-    return idx, pbar
+    policy = make_policy(eps, rates, spec.channel)
+    return SolveResult(
+        best_avg_power=average_power(policy.powers, steady_state_for(policy.eps)),
+        best_policy=policy,
+        accepted_count=improved,
+        feasible_count=feasible,
+        evaluated_count=evaluated,
+        trace=trace,
+    )
 
 
 def solve_fixed(spec: ProblemSpec, schedule: AnnealingSchedule) -> SolveResult:
-    """Anneal the fixed-rate problem: constant rate, free outage vector.
+    """Search the fixed-rate problem: constant rate, free outage vector.
 
-    Candidates pass the terminal-power window P_out <= P_N <= P_m (with
-    P_out the power whose outage at rate R equals eps_out) and the
-    average-loss gate before entering the Metropolis chain.  Raises
-    immediately when the window itself is empty.
+    Every table drawn meets the loss, burst and peak constraints (see the
+    module docstring).  Raises ValueError when the terminal-power window
+    P_out <= P_N <= P_m is empty (P_out the power whose outage at rate R
+    equals eps_out), and NoFeasibleSolution(0) when the draw box is.
     """
-    ch = spec.channel
-    p_out = power_for_outage(spec.eps_out, spec.avg_rate, ch)
+    p_out = power_for_outage(spec.eps_out, spec.avg_rate, spec.channel)
     if p_out > spec.peak_power * (1.0 + 1e-12):
         raise ValueError("feasibility window empty")
-    u_last = min(spec.eps_out, 1.0 - DELTA)
-    if u_last <= DELTA:
-        raise NoFeasibleSolution(0)
-
-    n1 = spec.n_states + 1
-    k_power = (2.0**spec.avg_rate - 1.0) * ch.noise_power / ch.mean_fading_power
-    rng = np.random.default_rng(schedule.seed)
-
-    def batch(e):
-        return _fixed_batch(spec, e, k_power, p_out)
-
-    sched = _resolve_t0(spec, schedule, rng, batch, n1, sort_desc=True, u_last=u_last)
-    chain = _Chain()
-    trace: list[tuple[float, float, float]] = []
-    evaluated = 0
-    feasible = 0
-
-    for temps in _temperature_blocks(sched):
-        rows = temps.size * sched.outer_per_temp
-        temps_all = np.repeat(temps, sched.outer_per_temp)
-        e = _draw_eps(rng, rows, n1, u_last, sort_desc=True)
-        idx, pbar = batch(e)
-        evaluated += rows
-        feasible += idx.size
-        thr = _thresholds(rng, temps_all[idx])
-        chain.consume(pbar, thr, e[idx])
-        trace.append((float(temps[-1]), chain.cur, chain.best))
-
-    if chain.best_eps is None:
-        raise NoFeasibleSolution(evaluated)
-    eps_t = tuple(float(x) for x in chain.best_eps)
-    policy = make_policy(eps_t, (spec.avg_rate,) * n1, ch)
-    best_avg = average_power(policy.powers, steady_state_for(eps_t))
-    return SolveResult(
-        best_avg_power=best_avg,
-        best_policy=policy,
-        accepted_count=chain.accepted,
-        feasible_count=feasible,
-        evaluated_count=evaluated,
-        trace=tuple(trace),
-    )
+    draw = _fixed_draw(spec, np.random.default_rng(schedule.seed))
+    return _solve(spec, schedule, draw)
 
 
 def solve_variable(spec: ProblemSpec, schedule: AnnealingSchedule) -> SolveResult:
-    """Anneal the joint rate/outage problem.
+    """Search the joint rate/outage problem.
 
     Two-step candidate generation: outage vectors are filtered on the
-    average-loss and burst gates (the stationary distribution depends on
-    the outage vector alone), then each survivor is paired with
-    rate_inner uniform rate vectors filtered on the average-rate gate and
-    the per-state power cap.
+    average-loss constraint (the stationary distribution depends on the
+    outage vector alone), then each survivor is paired with rate_inner
+    uniform rate vectors filtered on the average-rate constraint and the
+    per-state power cap.
     """
-    ch = spec.channel
-    u_last = min(spec.eps_out, 1.0 - DELTA)
-    if u_last <= DELTA:
-        raise NoFeasibleSolution(0)
-
-    n1 = spec.n_states + 1
     rng = np.random.default_rng(schedule.seed)
-
-    def expand(e, temps_rows):
-        """Rate draws for surviving outage rows of one batch."""
-        pi = _steady_rows(e)
-        gamma_r = np.einsum("ij,ij->i", e, pi)
-        surv = np.nonzero((gamma_r <= spec.gamma) & (e[:, -1] <= spec.eps_out))[0]
-        n_rates = surv.size * schedule.rate_inner
-        if n_rates == 0:
-            return 0, None
-        rates = rng.uniform(spec.r_min, spec.r_max, size=(n_rates, n1))
-        coef = ch.noise_power / (-np.log1p(-e[surv]) * ch.mean_fading_power)
-        coef = np.repeat(coef, schedule.rate_inner, axis=0)
-        pi_rep = np.repeat(pi[surv], schedule.rate_inner, axis=0)
-        powers = (np.exp2(rates) - 1.0) * coef
-        gate = (powers.max(axis=1) <= spec.peak_power) & (
-            np.einsum("ij,ij->i", rates, pi_rep) >= spec.avg_rate
-        )
-        idx = np.nonzero(gate)[0]
-        pbar = np.einsum("ij,ij->i", powers[idx], pi_rep[idx])
-        eps_rows = np.repeat(e[surv], schedule.rate_inner, axis=0)[idx]
-        temps_pairs = None
-        if temps_rows is not None:
-            temps_pairs = np.repeat(temps_rows[surv], schedule.rate_inner)[idx]
-        return n_rates, (eps_rows, rates[idx], pbar, temps_pairs)
-
-    def batch(e):
-        n_rates, out = expand(e, None)
-        if out is None:
-            return np.empty(0, dtype=int), np.empty(0)
-        _, _, pbar, _ = out
-        return np.arange(pbar.size), pbar
-
-    sched = _resolve_t0(spec, schedule, rng, batch, n1, sort_desc=False, u_last=u_last)
-    chain = _Chain()
-    trace: list[tuple[float, float, float]] = []
-    evaluated = 0
-    feasible = 0
-
-    for temps in _temperature_blocks(sched):
-        rows = temps.size * sched.outer_per_temp
-        temps_all = np.repeat(temps, sched.outer_per_temp)
-        e = _draw_eps(rng, rows, n1, u_last, sort_desc=False)
-        n_rates, out = expand(e, temps_all)
-        evaluated += rows + n_rates
-        if out is None:
-            trace.append((float(temps[-1]), chain.cur, chain.best))
-            continue
-        eps_rows, rate_rows, pbar, temps_pairs = out
-        feasible += pbar.size
-        thr = _thresholds(rng, temps_pairs)
-        chain.consume(pbar, thr, eps_rows, rate_rows)
-        trace.append((float(temps[-1]), chain.cur, chain.best))
-
-    if chain.best_eps is None:
-        raise NoFeasibleSolution(evaluated)
-    eps_t = tuple(float(x) for x in chain.best_eps)
-    rates_t = tuple(float(x) for x in chain.best_rates)
-    policy = make_policy(eps_t, rates_t, ch)
-    best_avg = average_power(policy.powers, steady_state_for(eps_t))
-    return SolveResult(
-        best_avg_power=best_avg,
-        best_policy=policy,
-        accepted_count=chain.accepted,
-        feasible_count=feasible,
-        evaluated_count=evaluated,
-        trace=tuple(trace),
-    )
+    return _solve(spec, schedule, _variable_draw(spec, schedule.rate_inner, rng))
 
 
 def _temperature_blocks(schedule: AnnealingSchedule):
@@ -368,21 +343,11 @@ def _temperature_blocks(schedule: AnnealingSchedule):
         yield t0 / (schedule.c_sa * b + 1.0)
 
 
-def _resolve_t0(
-    spec: ProblemSpec,
-    schedule: AnnealingSchedule,
-    rng,
-    batch,
-    n1: int,
-    sort_desc: bool,
-    u_last: float,
-) -> AnnealingSchedule:
+def _resolve_t0(schedule: AnnealingSchedule, draw) -> AnnealingSchedule:
     """Fill in an automatic t0 from a short probe of the search space."""
     if schedule.t0 is not None:
         return schedule
-    rows = 10 * schedule.outer_per_temp
-    e = _draw_eps(rng, rows, n1, u_last, sort_desc)
-    idx, pbar = batch(e)
-    t0 = 10.0 * float(pbar.min()) if idx.size else _T0_FALLBACK
+    _, ok, pbar, _ = draw(10 * schedule.outer_per_temp)
+    t0 = 10.0 * float(pbar.min()) if ok else _T0_FALLBACK
     t0 = min(max(t0, 10.0 * schedule.t_min), 1000.0)
     return replace(schedule, t0=t0)

@@ -208,12 +208,12 @@ class ValidationRecord:
     standard error taken from the chain model.  Consecutive slots are
     correlated, so z_gamma, z_occupancy and z_avg_power use the chain's
     asymptotic variance of the slot average (fundamental-matrix form),
-    not the variance of independent samples.  z_eps_out and
-    z_state_outage are conditional on the visits to each state, where
-    every loss is an independent draw, so they use the binomial
-    variance.  Entries are None where the sample provides no data (e.g.
-    a state never visited).  max_abs_z is the largest magnitude among
-    the defined scores.
+    not the variance of independent samples.  z_state_outage is
+    conditional on the visits to each state, where every loss is an
+    independent draw, so it uses the binomial variance; z_eps_out is its
+    terminal entry, the burst-outage score.  Entries are None where the
+    sample provides no data (e.g. a state never visited).  max_abs_z is
+    the largest magnitude among the defined scores.
     """
 
     report: SimReport
@@ -230,7 +230,7 @@ class ValidationRecord:
 
     def __post_init__(self) -> None:
         zs = [self.z_gamma, self.z_avg_power, *self.z_occupancy]
-        zs.extend(z for z in (self.z_eps_out, *self.z_state_outage) if z is not None)
+        zs.extend(z for z in self.z_state_outage if z is not None)
         object.__setattr__(self, "max_abs_z", max(abs(z) for z in zs))
 
 
@@ -280,13 +280,6 @@ def validate(
     z_occ = tuple(
         _z(occ - p, s) for occ, p, s in zip(report.occupancy, pi.tolist(), se[2:])
     )
-    n_terminal = report.state_slots[-1]
-    z_eps_out = None
-    if n_terminal > 0 and report.empirical_eps_out is not None:
-        z_eps_out = _z(
-            report.empirical_eps_out - eps_n,
-            math.sqrt(eps_n * (1.0 - eps_n) / n_terminal),
-        )
     z_states = []
     for e, c, l in zip(policy.eps, report.state_slots, report.state_losses):
         if c == 0:
@@ -303,6 +296,6 @@ def validate(
         z_gamma=z_gamma,
         z_occupancy=z_occ,
         z_avg_power=z_power,
-        z_eps_out=z_eps_out,
+        z_eps_out=z_states[-1],
         z_state_outage=tuple(z_states),
     )

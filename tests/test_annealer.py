@@ -6,17 +6,19 @@ import pytest
 from fadepower.annealer import (
     AnnealingSchedule,
     NoFeasibleSolution,
+    _fixed_draw,
     metropolis_accept,
     solve_fixed,
     solve_variable,
     temperature,
 )
-from fadepower.channel import ChannelModel, max_rate
+from fadepower.channel import ChannelModel, max_rate, outage_probability
 from fadepower.policy import (
     ProblemSpec,
     check_power_ordering,
     evaluate_fixed,
     evaluate_variable,
+    make_policy,
 )
 from fadepower.closed_form import n1_fixed_search
 
@@ -180,3 +182,70 @@ def test_counts_and_trace_present_for_variable():
     assert res.trace
     bests = [b for _, _, b in res.trace]
     assert all(x >= y for x, y in zip(bests, bests[1:]))
+
+
+@pytest.fixture(scope="module")
+def deep_budget_results():
+    """Fixed-rate solves at eps_out 0.1 for burst budgets N = 1..12."""
+    return {n: (spec1(eps_out=0.1, n=n), solve_fixed(spec1(eps_out=0.1, n=n),
+                                                     AnnealingSchedule(seed=1)))
+            for n in range(1, 13)}
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_fixed_deep_burst_budget_reaches_plateau(deep_budget_results, n):
+    s, res = deep_budget_results[n]
+    rep = evaluate_fixed(res.best_policy, s)
+    assert rep.feasible
+    assert res.best_avg_power == pytest.approx(rep.avg_power, abs=1e-10)
+    assert res.best_avg_power == pytest.approx(PLATEAU_PBAR, abs=1e-3)
+
+
+def test_fixed_power_non_increasing_in_burst_budget(deep_budget_results):
+    powers = [deep_budget_results[n][1].best_avg_power for n in range(1, 13)]
+    assert all(b <= a * (1.0 + 1e-3) for a, b in zip(powers, powers[1:]))
+
+
+def test_fixed_draw_is_feasible_by_construction():
+    rng = np.random.default_rng(2024)
+    accepted = empty_box = 0
+    for trial in range(60):
+        ch = ChannelModel(
+            mean_fading_power=float(rng.uniform(0.5, 2.0)),
+            noise_power=float(rng.uniform(0.5, 2.0)),
+        )
+        peak = float(rng.choice([20.0, 100.0]))
+        s = ProblemSpec(
+            gamma=float(rng.uniform(0.05, 0.5)),
+            n_states=int(rng.integers(1, 13)),
+            eps_out=float(rng.uniform(0.02, 0.6)),
+            avg_rate=float(rng.uniform(0.25, 2.0)),
+            r_min=0.001,
+            r_max=max_rate(peak, ch),
+            peak_power=peak,
+            channel=ch,
+        )
+        # every state's outage is at least the outage at peak power
+        floor = outage_probability(peak, s.avg_rate, ch)
+        if s.eps_out < floor:
+            with pytest.raises(ValueError, match="feasibility window empty"):
+                solve_fixed(s, LIGHT)
+            continue
+        if floor > s.gamma / (1.0 - s.gamma):
+            # gamma_r >= min eps >= floor > gamma/(1 - gamma) > gamma
+            with pytest.raises(NoFeasibleSolution) as exc:
+                solve_fixed(s, LIGHT)
+            assert exc.value.evaluated_count == 0
+            empty_box += 1
+            continue
+        rows, ok, pbar, table = _fixed_draw(s, np.random.default_rng(trial))(200)
+        feasible = np.flatnonzero(np.isfinite(pbar))
+        assert rows == 200 and ok == feasible.size
+        for j in feasible:
+            policy = make_policy(*table(j), ch)
+            rep = evaluate_fixed(policy, s)
+            assert rep.feasible, (trial, rep.violated)
+            assert check_power_ordering(policy.powers)
+            assert pbar[j] == pytest.approx(rep.avg_power, rel=1e-9)
+        accepted += feasible.size
+    assert accepted > 0 and empty_box > 0

@@ -87,6 +87,15 @@ def test_solve_empty_feasibility_window_exit_two(tmp_path, capsys):
     assert "feasibility window empty" in capsys.readouterr().err
 
 
+def test_solve_fixed_deep_burst_budget(tmp_path):
+    spec = write(tmp_path / "spec.txt", "gamma = 0.2\nn = 10\neps_out = 0.1\nrate = 1\n")
+    out = tmp_path / "deep.json"
+    assert main(["solve", "fixed", spec, "--seed", "1", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert len(data["best_policy"]["eps"]) == 11
+    assert abs(data["best_avg_power"] / PLATEAU_PBAR - 1.0) < 1e-3
+
+
 def test_solve_no_feasible_candidates_exit_two(tmp_path, capsys):
     spec = write(
         tmp_path / "spec.txt",

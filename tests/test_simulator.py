@@ -147,6 +147,21 @@ def test_validate_consistent_policy_scores_low():
     assert rec.z_eps_out is not None
 
 
+@pytest.mark.parametrize(
+    "eps",
+    [
+        (0.225, 0.1),
+        (0.05, 0.1, 0.1, 0.05),
+        (0.3, 0.5, 0.6, 0.7, 0.75, 0.8, 0.8, 0.85, 0.85, 0.9, 0.9),
+    ],
+)
+def test_validate_eps_out_score_is_terminal_state_score(eps):
+    pol = make_policy(eps, [1.0] * len(eps), CH)
+    rec = validate(pol, spec_for(pol, eps_out=0.95), 50_000, 3)
+    assert rec.z_eps_out is not None
+    assert rec.z_eps_out == rec.z_state_outage[-1]
+
+
 def test_validate_flags_corrupted_model():
     honest = ref_policy()
     # declared outage probabilities disagree with the actual (power, rate) pairs
