@@ -41,10 +41,27 @@ non-decreasing), which does not exclude the optimum.
   (ValueError) and the others as NoFeasibleSolution(0), before drawing.
 
 Variable rate: outage vectors are drawn uniformly per state on
-(DELTA, u_i), u_N = min(eps_out, 1 - DELTA) and u_i = 1 - DELTA for i < N;
-each one that meets C2 is paired with `rate_inner` rate vectors drawn
-uniformly on [r_min, r_max] per state, and the pairs that meet C1 and
-PEAK are feasible.
+(DELTA, u_i), u_N = min(eps_out, 1 - DELTA) and u_i = 1 - DELTA for i < N,
+and those that meet C2 get their rates by water-filling.  With eps fixed,
+pi and c_i = N0/(-ln(1 - eps_i) Omega) are fixed, and what is left,
+min sum pi_i c_i (2^r_i - 1) s.t. sum pi_i r_i >= R and
+r_min <= r_i <= rcap_i = min(r_max, log2(1 + P_m/c_i)), is convex.  Its
+KKT solution is r_i = clip(x - log2 c_i, r_min, rcap_i) for one water
+level x (Cover & Thomas, Elements of Information Theory, 9.4), which
+generalises closed_form.n1_variable_solution.
+
+* A row is infeasible when r_min > rcap_i for some state (PEAK) or when
+  sum pi_i rcap_i < R (C1).
+* f(x) = sum pi_i clip(x - log2 c_i, r_min, rcap_i) is piecewise linear
+  and non-decreasing, with kinks at the 2(N+1) points r_min + log2 c_i and
+  rcap_i + log2 c_i.  Its values at the sorted kinks follow from the
+  slope on each segment (a cumulative sum of +pi_i at a lower kink and
+  -pi_i at an upper one); x is found exactly on the segment where f
+  crosses R, with no tolerance loop.
+* When sum pi_i r_min >= R already, x is the lowest kink and every rate
+  is r_min.
+
+Both solvers therefore search over the outage vector alone.
 
 Everything is a pure function of (spec, schedule): identical inputs give
 identical results.
@@ -67,8 +84,15 @@ from .policy import Policy, ProblemSpec, average_power, make_policy
 # given seed depend on it too, through the order of the draws.
 _BLOCK_ROWS = 65536
 
-# Fallback initial temperature when no probe candidate is feasible.
+# Fallback initial temperature when no probe candidate is feasible, and
+# the ceiling of an automatic t0.
 _T0_FALLBACK = 100.0
+_T0_MAX = 1000.0
+
+# Largest draw budget (temperature steps x outer_per_temp) a schedule may
+# ask for: that of the default schedule at its largest t0 (1e5 steps x 200
+# draws).  It bounds the run time of every valid schedule.
+MAX_DRAWS = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -76,7 +100,9 @@ class AnnealingSchedule:
     """Cooling schedule, and with it the draw budget, of one solver run.
 
     The run takes floor((t0/t_min - 1)/c_sa) + 1 temperature steps of
-    outer_per_temp candidate tables each.
+    outer_per_temp candidate tables each.  A schedule whose budget could
+    exceed MAX_DRAWS draws (with t0 = None, at the largest automatic t0)
+    is rejected with ValueError.
 
     t0:             initial temperature; None picks 10x the smallest
                     feasible average power found in a probe of
@@ -85,8 +111,6 @@ class AnnealingSchedule:
     c_sa:           cooling constant of T_b = t0/(c_sa*b + 1)
     t_min:          stopping temperature
     outer_per_temp: candidate outage vectors drawn per temperature step
-    rate_inner:     rate vectors drawn per outage vector that meets the
-                    loss budget (variable-rate solver only)
     seed:           RNG seed; equal seeds reproduce the run bit-exactly
     """
 
@@ -94,7 +118,6 @@ class AnnealingSchedule:
     c_sa: float = 1.0
     t_min: float = 0.01
     outer_per_temp: int = 200
-    rate_inner: int = 20
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -108,20 +131,25 @@ class AnnealingSchedule:
             raise ValueError("t_min must be below t0")
         if self.outer_per_temp < 1:
             raise ValueError("outer_per_temp must be >= 1")
-        if self.rate_inner < 1:
-            raise ValueError("rate_inner must be >= 1")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
+        t0 = _T0_MAX if self.t0 is None else self.t0
+        draws = _step_count(self, t0) * self.outer_per_temp
+        if draws > MAX_DRAWS:
+            raise ValueError(
+                f"draw budget of {draws:.3g} exceeds {MAX_DRAWS:.3g}; "
+                "raise t_min or c_sa, or lower t0 or outer_per_temp"
+            )
 
 
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of one solver run: the minimum over its feasible draws.
 
-    evaluated_count counts every candidate draw (outage vectors plus, for
-    the variable-rate solver, rate vectors); feasible_count the fully
-    feasible candidates among them; accepted_count the draws that lowered
-    the running best, in draw order.  trace holds one (temperature,
+    evaluated_count counts every candidate outage vector drawn;
+    feasible_count those whose table is feasible (for the variable-rate
+    solver, those with a feasible rate allocation); accepted_count the
+    draws that lowered the running best, in draw order.  trace holds one (temperature,
     block minimum, best) sample per block of temperature steps: the last
     temperature of the block, the cheapest feasible draw of the block
     (inf when it has none) and the best so far, which is non-increasing.
@@ -219,7 +247,7 @@ def _fixed_draw(spec: ProblemSpec, rng):
     return draw
 
 
-def _variable_draw(spec: ProblemSpec, rate_inner: int, rng):
+def _variable_draw(spec: ProblemSpec, rng):
     """Block draw of the variable-rate problem; see the module docstring.
 
     Raises NoFeasibleSolution(0) when no outage fits under eps_out.
@@ -236,23 +264,46 @@ def _variable_draw(spec: ProblemSpec, rate_inner: int, rng):
         e = DELTA + rng.random((rows, n1)) * widths
         pi = _steady_rows(e)
         surv = np.nonzero(np.einsum("ij,ij->i", e, pi) <= spec.gamma)[0]
-        rates = rng.uniform(spec.r_min, spec.r_max, size=(surv.size * rate_inner, n1))
-        coef = ch.noise_power / (-np.log1p(-e[surv]) * ch.mean_fading_power)
-        powers = (np.exp2(rates) - 1.0) * np.repeat(coef, rate_inner, axis=0)
-        pi = np.repeat(pi[surv], rate_inner, axis=0)
-        ok = (powers.max(axis=1) <= spec.peak_power) & (
-            np.einsum("ij,ij->i", rates, pi) >= spec.avg_rate
-        )
-        pbar = np.einsum("ij,ij->i", powers, pi)
+        e, pi = e[surv], pi[surv]
+        coef = ch.noise_power / (-np.log1p(-e) * ch.mean_fading_power)
+        rates, ok = _water_fill(coef, pi, spec)
+        pbar = np.einsum("ij,ij->i", coef * (np.exp2(rates) - 1.0), pi)
         pbar[~ok] = np.inf
-        return (
-            rows + rates.shape[0],
-            int(np.count_nonzero(ok)),
-            pbar,
-            lambda j: (e[surv[j // rate_inner]].copy(), rates[j].copy()),
-        )
+        return rows, int(np.count_nonzero(ok)), pbar, lambda j: (e[j].copy(), rates[j].copy())
 
     return draw
+
+
+def _water_fill(coef, pi, spec: ProblemSpec):
+    """Cheapest rates per row meeting C1, C4 and PEAK; see the module docstring.
+
+    Returns the rates and a mask of the rows that have a feasible
+    allocation (the rates of the other rows are meaningless).
+    """
+    lc = np.log2(coef)
+    rcap = np.minimum(spec.r_max, np.log2(1.0 + spec.peak_power / coef))
+    ok = (rcap.min(axis=1) >= spec.r_min) & (
+        np.einsum("ij,ij->i", rcap, pi) >= spec.avg_rate
+    )
+    kinks = np.concatenate([spec.r_min + lc, rcap + lc], axis=1)
+    order = np.argsort(kinks, axis=1)
+    kinks = np.take_along_axis(kinks, order, axis=1)
+    steps = np.take_along_axis(np.concatenate([pi, -pi], axis=1), order, axis=1)
+    gaps = np.diff(kinks, axis=1)
+    rise = np.cumsum(steps[:, :-1], axis=1) * gaps
+    # f at each sorted kink; at the first one every rate is r_min
+    f = np.empty_like(kinks)
+    f[:, 0] = spec.r_min
+    f[:, 1:] = spec.r_min + np.cumsum(rise, axis=1)
+    # the segment [kink_k, kink_k+1] on which f crosses R.  k = 0 with
+    # f_0 >= R puts x at the first kink (every rate r_min); round-off that
+    # leaves f below R at the last kink stops x there (every rate capped).
+    k = np.clip(np.count_nonzero(f < spec.avg_rate, axis=1) - 1, 0, gaps.shape[1] - 1)[:, None]
+    f_k = np.take_along_axis(f, k, axis=1)
+    rise_k = np.take_along_axis(rise, k, axis=1)
+    t = np.divide(spec.avg_rate - f_k, rise_k, out=np.ones_like(f_k), where=rise_k > 0.0)
+    x = np.take_along_axis(kinks, k, axis=1) + np.clip(t, 0.0, 1.0) * np.take_along_axis(gaps, k, axis=1)
+    return np.clip(x - lc, spec.r_min, rcap), ok
 
 
 def _search(schedule: AnnealingSchedule, draw):
@@ -320,22 +371,28 @@ def solve_fixed(spec: ProblemSpec, schedule: AnnealingSchedule) -> SolveResult:
 
 
 def solve_variable(spec: ProblemSpec, schedule: AnnealingSchedule) -> SolveResult:
-    """Search the joint rate/outage problem.
+    """Search the joint rate/outage problem over the outage vector alone.
 
-    Two-step candidate generation: outage vectors are filtered on the
+    Outage vectors are drawn under the burst budget and filtered on the
     average-loss constraint (the stationary distribution depends on the
-    outage vector alone), then each survivor is paired with rate_inner
-    uniform rate vectors filtered on the average-rate constraint and the
-    per-state power cap.
+    outage vector alone); each survivor gets its cheapest rates exactly,
+    by water-filling under the average-rate floor, the rate bounds and
+    the per-state power cap (see the module docstring).
     """
     rng = np.random.default_rng(schedule.seed)
-    return _solve(spec, schedule, _variable_draw(spec, schedule.rate_inner, rng))
+    return _solve(spec, schedule, _variable_draw(spec, rng))
+
+
+def _step_count(schedule: AnnealingSchedule, t0: float):
+    """Temperature steps from t0 down to t_min (inf past float range)."""
+    steps = (t0 / schedule.t_min - 1.0) / schedule.c_sa
+    return math.floor(steps) + 1 if math.isfinite(steps) else math.inf
 
 
 def _temperature_blocks(schedule: AnnealingSchedule):
     """Yield the cooling sequence in batches of temperature steps."""
     t0 = schedule.t0
-    n_steps = int(math.floor((t0 / schedule.t_min - 1.0) / schedule.c_sa)) + 1
+    n_steps = _step_count(schedule, t0)
     block = max(1, _BLOCK_ROWS // schedule.outer_per_temp)
     for start in range(0, n_steps, block):
         stop = min(start + block, n_steps)
@@ -349,5 +406,5 @@ def _resolve_t0(schedule: AnnealingSchedule, draw) -> AnnealingSchedule:
         return schedule
     _, ok, pbar, _ = draw(10 * schedule.outer_per_temp)
     t0 = 10.0 * float(pbar.min()) if ok else _T0_FALLBACK
-    t0 = min(max(t0, 10.0 * schedule.t_min), 1000.0)
+    t0 = min(max(t0, 10.0 * schedule.t_min), _T0_MAX)
     return replace(schedule, t0=t0)

@@ -4,7 +4,7 @@ Problem and policy files use a flat ``key = value`` text format; blank
 lines and lines starting with ``#`` are ignored.  Recognized problem
 keys: gamma, n, eps_out, rate, r_min, r_max, peak_power_dbw OR
 peak_power_w, noise_power, mean_fading_power; schedule keys: t0, c_sa,
-t_min, outer_per_temp, rate_inner, seed.  Peak power given in dBW is
+t_min, outer_per_temp, seed.  Peak power given in dBW is
 converted as P = 10^(dBW/10).  Policy files carry eps / rates /
 optional powers as semicolon-separated vectors plus the channel keys.
 
@@ -55,7 +55,7 @@ _PROBLEM_KEYS = _CHANNEL_KEYS | {
     "peak_power_dbw",
     "peak_power_w",
 }
-_SCHEDULE_KEYS = {"t0", "c_sa", "t_min", "outer_per_temp", "rate_inner", "seed"}
+_SCHEDULE_KEYS = {"t0", "c_sa", "t_min", "outer_per_temp", "seed"}
 _POLICY_KEYS = (_PROBLEM_KEYS - {"n"}) | {"eps", "rates", "powers"}
 
 # experiment preset used when a key is absent (peak 100 W = 20 dBW)
@@ -160,9 +160,8 @@ def _build_schedule(fields, path: str, args) -> AnnealingSchedule:
     vals: dict = {}
     for key in _SCHEDULE_KEYS:
         if key in fields:
-            kind = int if key in {"outer_per_temp", "rate_inner", "seed"} else float
+            kind = int if key in {"outer_per_temp", "seed"} else float
             vals[key] = _conv(path, key, fields[key], kind)
-    for key in ("t0", "c_sa", "t_min", "outer_per_temp", "rate_inner", "seed"):
         flag = getattr(args, key, None)
         if flag is not None:
             vals[key] = flag
@@ -192,7 +191,6 @@ def _schedule_echo(schedule: AnnealingSchedule) -> dict:
         "c_sa": schedule.c_sa,
         "t_min": schedule.t_min,
         "outer_per_temp": schedule.outer_per_temp,
-        "rate_inner": schedule.rate_inner,
         "seed": schedule.seed,
     }
 
@@ -478,7 +476,6 @@ _SWEEP_COLUMNS = (
     "c_sa",
     "t_min",
     "outer_per_temp",
-    "rate_inner",
     "seed",
     "feasible",
     "best_avg_power",
@@ -515,7 +512,6 @@ def cmd_sweep(args) -> int:
             "c_sa": base_sched.c_sa,
             "t_min": base_sched.t_min,
             "outer_per_temp": base_sched.outer_per_temp,
-            "rate_inner": base_sched.rate_inner,
             "seed": base_sched.seed,
             "feasible": 0,
             "best_avg_power": "",
@@ -591,7 +587,6 @@ def _schedule_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--c-sa", dest="c_sa", type=float, default=None)
     sp.add_argument("--t-min", dest="t_min", type=float, default=None)
     sp.add_argument("--outer-per-temp", dest="outer_per_temp", type=int, default=None)
-    sp.add_argument("--rate-inner", dest="rate_inner", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

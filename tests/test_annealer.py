@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,12 +8,16 @@ from fadepower.annealer import (
     AnnealingSchedule,
     NoFeasibleSolution,
     _fixed_draw,
+    _steady_rows,
+    _variable_draw,
+    _water_fill,
     metropolis_accept,
     solve_fixed,
     solve_variable,
     temperature,
 )
-from fadepower.channel import ChannelModel, max_rate, outage_probability
+from fadepower.channel import ChannelModel, max_rate, outage_probability, power_for_outage
+from fadepower.markov import steady_state_for
 from fadepower.policy import (
     ProblemSpec,
     check_power_ordering,
@@ -20,13 +25,13 @@ from fadepower.policy import (
     evaluate_variable,
     make_policy,
 )
-from fadepower.closed_form import n1_fixed_search
+from fadepower.closed_form import n1_fixed_search, n1_variable_search
 
 CH = ChannelModel()
 RMAX100 = max_rate(100.0, CH)
 PLATEAU_PBAR = 4.481420117724550
 
-LIGHT = AnnealingSchedule(t0=50.0, t_min=0.5, outer_per_temp=100, rate_inner=10, seed=0)
+LIGHT = AnnealingSchedule(t0=50.0, t_min=0.5, outer_per_temp=100, seed=0)
 
 
 def spec1(eps_out=0.1, gamma=0.2, rate=1.0, n=1, peak=100.0, r_max=RMAX100):
@@ -49,8 +54,6 @@ def test_schedule_validation():
         AnnealingSchedule(t0=1.0, t_min=2.0)
     with pytest.raises(ValueError, match="outer_per_temp"):
         AnnealingSchedule(outer_per_temp=0)
-    with pytest.raises(ValueError, match="rate_inner"):
-        AnnealingSchedule(rate_inner=0)
     with pytest.raises(ValueError, match="c_sa"):
         AnnealingSchedule(c_sa=-1.0)
     with pytest.raises(ValueError, match="64"):
@@ -159,8 +162,7 @@ def test_seed_determinism_bitexact():
 def test_different_seeds_explore_differently():
     s = spec1(eps_out=0.12)
     a = solve_fixed(s, LIGHT)
-    b = solve_fixed(s, AnnealingSchedule(t0=50.0, t_min=0.5, outer_per_temp=100,
-                                         rate_inner=10, seed=99))
+    b = solve_fixed(s, AnnealingSchedule(t0=50.0, t_min=0.5, outer_per_temp=100, seed=99))
     assert a.best_policy != b.best_policy or a.trace != b.trace
 
 
@@ -249,3 +251,121 @@ def test_fixed_draw_is_feasible_by_construction():
             assert pbar[j] == pytest.approx(rep.avg_power, rel=1e-9)
         accepted += feasible.size
     assert accepted > 0 and empty_box > 0
+
+
+def test_draw_budget_is_capped():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="draw budget"):
+        solve_fixed(spec1(), AnnealingSchedule(t_min=1e-12))
+    with pytest.raises(ValueError, match="draw budget"):
+        solve_variable(spec1(), AnnealingSchedule(t0=5.0, t_min=1e-12))
+    with pytest.raises(ValueError, match="draw budget"):
+        AnnealingSchedule(t0=1.0, t_min=0.5, c_sa=1e-300)
+    assert time.perf_counter() - start < 1.0
+    # the default schedule at its largest automatic t0 stays within the cap
+    AnnealingSchedule(t0=1000.0)
+
+
+def _rate_bounds(e, s):
+    """pi, log2 c_i and the peak-rate caps rcap_i of outage row e."""
+    c = np.array([power_for_outage(x, 1.0, s.channel) for x in e])
+    return steady_state_for(e), np.log2(c), np.minimum(s.r_max, np.log2(1.0 + s.peak_power / c))
+
+
+def _kkt_violations(e, r, s):
+    """Broken KKT conditions of rates r for outage row e (empty if none)."""
+    pi, lc, cap = _rate_bounds(e, s)
+    bad = []
+    if np.any(r < s.r_min) or np.any(r > cap + 1e-12):
+        bad.append("rate outside [r_min, cap]")
+    rate = float(np.dot(pi, r))
+    if rate < s.avg_rate - 1e-12:
+        bad.append("C1")
+    at_lo = (r <= s.r_min + 1e-12) & (r < cap - 1e-12)
+    at_cap = (r >= cap - 1e-12) & (r > s.r_min + 1e-12)
+    free = ~at_lo & ~at_cap & (cap - s.r_min > 2e-12)
+    level = r + lc
+    if np.any(free):
+        x = level[free].mean()
+        if np.ptp(level[free]) > 1e-9:
+            bad.append("free states at different levels")
+    else:
+        x = level[at_cap].max(initial=-np.inf)
+    if np.any((s.r_min + lc)[at_lo] < x - 1e-9):
+        bad.append("a state at r_min lies below the level")
+    if np.any((cap + lc)[at_cap] > x + 1e-9):
+        bad.append("a capped state lies above the level")
+    if np.any(r > s.r_min + 1e-12) and rate > s.avg_rate + 1e-12:
+        bad.append("rate floor slack with rates above r_min")
+    return bad
+
+
+def test_variable_rates_satisfy_kkt():
+    rng = np.random.default_rng(4242)
+    seen = dict.fromkeys(("feasible", "all r_min", "capped", "peak below r_min", "C1 out of reach"), 0)
+    for trial in range(60):
+        ch = ChannelModel(
+            mean_fading_power=float(rng.uniform(0.5, 2.0)),
+            noise_power=float(rng.uniform(0.5, 2.0)),
+        )
+        peak = float(rng.choice([5.0, 20.0, 100.0]))
+        r_min = float(rng.choice([0.001, rng.uniform(0.0, 1.5)]))
+        s = ProblemSpec(
+            gamma=float(rng.uniform(0.05, 0.5)),
+            n_states=int(rng.integers(1, 8)),
+            eps_out=float(rng.uniform(0.02, 0.6)),
+            avg_rate=float(rng.uniform(0.1, 5.0)),
+            r_min=r_min,
+            r_max=float(rng.choice([max_rate(peak, ch), r_min + rng.uniform(0.5, 3.0)])),
+            peak_power=peak,
+            channel=ch,
+        )
+        rows, ok, pbar, table = _variable_draw(s, np.random.default_rng(trial))(400)
+        assert rows == 400 and ok == np.count_nonzero(np.isfinite(pbar))
+        for j in range(pbar.size):
+            e, r = table(j)
+            pi, _, cap = _rate_bounds(e, s)
+            if cap.min() < s.r_min or np.dot(pi, cap) < s.avg_rate:
+                assert pbar[j] == np.inf, trial
+                seen["peak below r_min"] += cap.min() < s.r_min
+                seen["C1 out of reach"] += np.dot(pi, cap) < s.avg_rate
+                continue
+            assert _kkt_violations(e, r, s) == [], trial
+            rep = evaluate_variable(make_policy(e, r, ch), s)
+            assert rep.feasible, (trial, rep.violated)
+            assert pbar[j] == pytest.approx(rep.avg_power, rel=1e-9)
+            seen["feasible"] += 1
+            seen["all r_min"] += bool(np.all(r == s.r_min))
+            seen["capped"] += bool(np.any(r >= cap - 1e-12))
+    assert min(seen.values()) > 0, seen
+
+
+# Best known variable-rate tables at gamma 0.2, eps_out 0.1, R 1, P_m 100 W
+# (differential evolution over the outage vector, rates by water-filling).
+VARIABLE_OPTIMA = {
+    1: ((0.24861054211459968, 0.005557831541592333),
+        (1.2497499999999981, 0.001), 3.8817103647846847),
+    3: ((0.083216605852097, 0.999999, 0.999999, 0.004193433200275858),
+        (0.14176946592212358, RMAX100, RMAX100, 0.001), 1.925538413842421),
+}
+
+
+@pytest.mark.parametrize("n", sorted(VARIABLE_OPTIMA))
+def test_water_filling_reproduces_known_optima(n):
+    eps, rates, power = VARIABLE_OPTIMA[n]
+    e = np.array([eps])
+    pi = _steady_rows(e)
+    coef = CH.noise_power / (-np.log1p(-e) * CH.mean_fading_power)
+    r, ok = _water_fill(coef, pi, spec1(eps_out=0.1, n=n))
+    assert ok.tolist() == [True]
+    np.testing.assert_allclose(r[0], rates, rtol=0.0, atol=1e-9)
+    pbar = float(np.dot(pi[0], coef[0] * (np.exp2(r[0]) - 1.0)))
+    assert pbar == pytest.approx(power, rel=1e-9)
+
+
+def test_variable_solver_reaches_n1_optimum():
+    s = spec1(eps_out=0.1)
+    res = solve_variable(s, AnnealingSchedule())
+    assert res.best_avg_power == pytest.approx(VARIABLE_OPTIMA[1][2], rel=1e-3)
+    # the grid search pins eps_1 = eps_out, so it is a bound, not an optimum
+    assert res.best_avg_power < n1_variable_search(s, 2001)[1]

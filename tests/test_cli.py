@@ -8,7 +8,7 @@ from fadepower.cli import main
 PLATEAU_PBAR = 4.481420117724550
 FIXED_PBAR_01 = 5.036825427107048
 
-LIGHT_SCHEDULE = "t0 = 5\nt_min = 0.5\nouter_per_temp = 50\nrate_inner = 5\nseed = 3\n"
+LIGHT_SCHEDULE = "t0 = 5\nt_min = 0.5\nouter_per_temp = 50\nseed = 3\n"
 
 
 def write(path, text):
@@ -76,6 +76,24 @@ def test_solve_diagnoses_malformed_lines(tmp_path, capsys):
     spec3 = write(tmp_path / "s3.txt", "n = 1\nrate = 1\n")
     assert main(["solve", "fixed", spec3]) == 1
     assert "eps_out" in capsys.readouterr().err
+
+
+def test_solve_rejects_removed_rate_inner_key(tmp_path, capsys):
+    spec = write(
+        tmp_path / "spec.txt",
+        "n = 1\neps_out = 0.1\nrate = 1\nrate_inner = 20\n",
+    )
+    assert main(["solve", "variable", spec]) == 1
+    err = capsys.readouterr().err
+    assert "spec.txt:4" in err and "unknown key 'rate_inner'" in err
+
+
+def test_solve_rejects_unbounded_draw_budget(tmp_path, capsys):
+    spec = write(tmp_path / "spec.txt", "n = 1\neps_out = 0.1\nrate = 1\n")
+    assert main(["solve", "fixed", spec, "--t-min", "1e-12"]) == 1
+    assert "draw budget" in capsys.readouterr().err
+    assert main(["sweep", "eps_out", "0.1,0.2", spec, "--t-min", "1e-12"]) == 1
+    assert "draw budget" in capsys.readouterr().err
 
 
 def test_solve_empty_feasibility_window_exit_two(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fadepower.channel import ChannelModel, outage_probability, power_for_outage
+from fadepower.channel import ChannelModel, max_rate, outage_probability, power_for_outage
 from fadepower.markov import steady_state_for
 from fadepower.policy import (
     Policy,
@@ -106,6 +106,23 @@ def test_evaluate_variable_rate_violation():
     rep = evaluate_variable(pol, spec1(avg_rate=1.5))
     assert not rep.feasible
     assert rep.violated == ("C1",)
+
+
+def test_evaluate_variable_counts_transmitted_rate():
+    # C1 is a floor on the average *transmitted* rate sum(pi_i r_i).  This
+    # best known N=3 table sends the peak-power rate in states 1-2, whose
+    # packets are almost surely lost, so its delivered rate
+    # sum(pi_i r_i (1 - eps_i)) falls short of R; it is still feasible.
+    r_max = max_rate(100.0, CH)
+    eps = (0.083216605852097, 0.999999, 0.999999, 0.004193433200275858)
+    rates = (0.14176946592212358, r_max, r_max, 0.001)
+    spec = spec1(n=3, r_max=r_max)
+    rep = evaluate_variable(make_policy(eps, rates, CH), spec)
+    assert rep.feasible
+    assert rep.avg_rate_achieved == pytest.approx(1.0, abs=1e-9)
+    pi = steady_state_for(eps)
+    delivered = float(np.dot(pi, np.array(rates) * (1.0 - np.array(eps))))
+    assert delivered < 0.9 * spec.avg_rate
 
 
 def test_evaluate_variable_rate_bounds_and_peak():
