@@ -28,6 +28,10 @@ non-decreasing), which does not exclude the optimum.
 * The product form gives gamma_r = 1 - pi_0 = eps_0 W_1/(1 + eps_0 W_1),
   with W_1 = 1 + eps_1 + eps_1 eps_2 + ... + eps_1...eps_{N-1}/(1 - eps_N).
   C2 is therefore eps_0 <= gamma/((1 - gamma) W_1).
+* W_1 and the tail's power sum_j w_j/(-ln(1 - eps_j)) (w_j the terms of
+  W_1) come from one backward Horner pass over the states each,
+  W_1 = 1 + eps_1(1 + eps_2(... + eps_{N-1}/(1 - eps_N))), with no
+  matrix of products.
 * eps_0 = lb + t*(ub - lb) with t ~ U(0, 1), ub = min(1 - DELTA,
   gamma/((1 - gamma) W_1)) and lb = max(lo, eps_1).  A draw with ub < lb
   violates only the power order and is the one rejection left.
@@ -41,9 +45,11 @@ non-decreasing), which does not exclude the optimum.
   (ValueError) and the others as NoFeasibleSolution(0), before drawing.
 
 Variable rate: outage vectors are drawn uniformly per state on
-(DELTA, u_i), u_N = min(eps_out, 1 - DELTA) and u_i = 1 - DELTA for i < N,
-and those that meet C2 get their rates by water-filling.  With eps fixed,
-pi and c_i = N0/(-ln(1 - eps_i) Omega) are fixed, and what is left,
+(DELTA, u_i), u_N = min(eps_out, 1 - DELTA) and u_i = 1 - DELTA for i < N.
+C2 is tested first, as eps_0 W_1 <= gamma/(1 - gamma) with the same
+Horner W_1, and only the rows that pass get pi and their rates, by
+water-filling.  With eps fixed, pi and c_i = N0/(-ln(1 - eps_i) Omega)
+are fixed, and what is left,
 min sum pi_i c_i (2^r_i - 1) s.t. sum pi_i r_i >= R and
 r_min <= r_i <= rcap_i = min(r_max, log2(1 + P_m/c_i)), is convex.  Its
 KKT solution is r_i = clip(x - log2 c_i, r_min, rcap_i) for one water
@@ -63,6 +69,14 @@ generalises closed_form.n1_variable_solution.
 
 Both solvers therefore search over the outage vector alone.
 
+Blocks: the search draws about 2^17 outage entries at a time (rows x
+states, at most 65536 rows), so the temporaries of a deep-N block stay in
+cache and N = 1 keeps its 65536-row blocks.  A temperature step wider than
+a block, and the t0 probe, are drawn in several blocks, which bounds the
+memory of a run for every outer_per_temp.  Each candidate reads one
+contiguous slice of the RNG stream, so the draws, and every result but
+`trace`, do not depend on how the budget is cut into blocks.
+
 Everything is a pure function of (spec, schedule): identical inputs give
 identical results.
 """
@@ -79,9 +93,12 @@ from .channel import power_for_outage
 from .markov import steady_state_for
 from .policy import Policy, ProblemSpec, average_power, make_policy
 
-# Candidate rows processed per vectorized batch (several temperature
-# steps at a time).  It bounds the memory of one block; results for a
-# given seed depend on it too, through the order of the draws.
+# Size of one vectorised draw: about _BLOCK_ELEMENTS outage entries
+# (rows x states, 1 MiB of float64, which keeps a block's temporaries in
+# cache), at most _BLOCK_ROWS rows.  Every draw reads one contiguous slice
+# of the RNG stream per row, so results do not depend on these sizes; they
+# bound the memory of a draw and set how many samples `trace` holds.
+_BLOCK_ELEMENTS = 2**17
 _BLOCK_ROWS = 65536
 
 # Fallback initial temperature when no probe candidate is feasible, and
@@ -149,10 +166,13 @@ class SolveResult:
     evaluated_count counts every candidate outage vector drawn;
     feasible_count those whose table is feasible (for the variable-rate
     solver, those with a feasible rate allocation); accepted_count the
-    draws that lowered the running best, in draw order.  trace holds one (temperature,
-    block minimum, best) sample per block of temperature steps: the last
-    temperature of the block, the cheapest feasible draw of the block
-    (inf when it has none) and the best so far, which is non-increasing.
+    draws that lowered the running best, in draw order.  trace holds one
+    (temperature, block minimum, best) sample per block of temperature
+    steps: the last temperature of the block, the cheapest feasible draw of
+    the block (inf when it has none) and the best so far, which is
+    non-increasing.  Blocks hold about 2^17 outage entries, so a deeper N
+    gives more, smaller blocks and a longer trace; trace is the only
+    field that depends on the block size.
     """
 
     best_avg_power: float
@@ -209,6 +229,31 @@ def _steady_rows(e):
     return w / w.sum(axis=1, keepdims=True)
 
 
+def _tail_sum(tail, f=None):
+    """sum_j w_j f_j per row of tail = (eps_1..eps_N), by one Horner pass.
+
+    w_j = eps_1*...*eps_{j-1}, the terminal one over (1 - eps_N), are the
+    stationary weights behind state 0: pi = (1, eps_0*w)/(1 + eps_0*W_1)
+    with W_1 = sum_j w_j, the value for f = None (every f_j = 1).  The pass
+    runs backwards: f_1 + eps_1(f_2 + ... + eps_{N-1} f_N/(1 - eps_N)).
+    """
+    acc = 1.0 / (1.0 - tail[:, -1])
+    if f is not None:
+        acc *= f[:, -1]
+    for j in range(tail.shape[1] - 2, -1, -1):
+        acc *= tail[:, j]
+        acc += 1.0 if f is None else f[:, j]
+    return acc
+
+
+def _spread(u, lo: float, hi: float, hi_last: float):
+    """Map uniforms u in place from [0, 1) to [lo, hi), the last column to [lo, hi_last)."""
+    last = u[:, -1] * (hi_last - lo)
+    u *= hi - lo
+    u[:, -1] = last
+    u += lo
+
+
 def _fixed_draw(spec: ProblemSpec, rng):
     """Block draw of the fixed-rate problem; see the module docstring.
 
@@ -220,27 +265,38 @@ def _fixed_draw(spec: ProblemSpec, rng):
     k_power = (2.0**spec.avg_rate - 1.0) * ch.noise_power / ch.mean_fading_power
     odds = spec.gamma / (1.0 - spec.gamma)
     lo = max(DELTA, -math.expm1(-k_power / spec.peak_power))
-    highs = np.full(n, min(1.0 - DELTA, odds))
-    highs[-1] = min(spec.eps_out, highs[-1])
-    if highs[-1] < lo:
+    cap = min(1.0 - DELTA, odds)
+    if min(spec.eps_out, cap) < lo:
         raise NoFeasibleSolution(0)
-    widths = highs - lo
 
     def draw(rows: int):
-        tail = np.sort(lo + rng.random((rows, n)) * widths, axis=1)[:, ::-1]
-        t = rng.random(rows)
-        # w[:, j-1] = eps_1*...*eps_{j-1}, the terminal one over (1 - eps_N),
-        # so pi = (1, eps_0*w) / (1 + eps_0*W_1) with W_1 = sum(w).
-        w = np.ones((rows, n))
-        w[:, 1:] = np.cumprod(tail[:, :-1], axis=1)
-        w[:, -1] /= 1.0 - tail[:, -1]
-        w1 = w.sum(axis=1)
-        ub = np.minimum(1.0 - DELTA, odds / w1)
-        lb = np.maximum(lo, tail[:, 0])
-        e0 = lb + t * (ub - lb)
-        tail_cost = np.einsum("ij,ij->i", w, 1.0 / -np.log1p(-tail))
-        pbar = k_power * (1.0 / -np.log1p(-e0) + e0 * tail_cost) / (1.0 + e0 * w1)
-        ok = ub >= lb
+        # one row of the RNG stream per candidate: t, then eps_1..eps_N unsorted
+        u = rng.random((rows, n + 1))
+        t = u[:, 0].copy()
+        _spread(u, lo, cap, min(spec.eps_out, cap))
+        tail = np.sort(u[:, 1:], axis=1)
+        inv_y = np.negative(tail)
+        np.log1p(inv_y, out=inv_y)
+        np.divide(-1.0, inv_y, out=inv_y)  # 1/(-ln(1 - eps_j))
+        tail, inv_y = tail[:, ::-1], inv_y[:, ::-1]  # eps non-increasing
+        w1 = _tail_sum(tail)
+        pbar = _tail_sum(tail, inv_y)  # sum_j w_j/(-ln(1 - eps_j))
+        # e0 starts as ub and becomes eps_0 = lb + t*(ub - lb)
+        e0 = np.minimum(odds / w1, 1.0 - DELTA)
+        lb = np.maximum(tail[:, 0], lo)
+        ok = e0 >= lb
+        e0 -= lb
+        e0 *= t
+        e0 += lb
+        # pbar = k*(1/(-ln(1 - eps_0)) + eps_0*pbar)/(1 + eps_0*W_1)
+        y0 = np.negative(e0)
+        np.log1p(y0, out=y0)
+        pbar *= e0
+        pbar -= np.reciprocal(y0, out=y0)
+        w1 *= e0
+        w1 += 1.0
+        pbar *= k_power
+        pbar /= w1
         pbar[~ok] = np.inf
         return rows, int(np.count_nonzero(ok)), pbar, lambda j: ((e0[j], *tail[j]), rates)
 
@@ -254,17 +310,18 @@ def _variable_draw(spec: ProblemSpec, rng):
     """
     ch = spec.channel
     n1 = spec.n_states + 1
-    highs = np.full(n1, 1.0 - DELTA)
-    highs[-1] = min(spec.eps_out, highs[-1])
-    if highs[-1] <= DELTA:
+    odds = spec.gamma / (1.0 - spec.gamma)
+    top = min(spec.eps_out, 1.0 - DELTA)
+    if top <= DELTA:
         raise NoFeasibleSolution(0)
-    widths = highs - DELTA
 
     def draw(rows: int):
-        e = DELTA + rng.random((rows, n1)) * widths
+        e = rng.random((rows, n1))
+        _spread(e, DELTA, 1.0 - DELTA, top)
+        # C2 before pi: gamma_r = eps_0 W_1/(1 + eps_0 W_1) <= gamma
+        surv = np.flatnonzero(e[:, 0] * _tail_sum(e[:, 1:]) <= odds)
+        e = e[surv]
         pi = _steady_rows(e)
-        surv = np.nonzero(np.einsum("ij,ij->i", e, pi) <= spec.gamma)[0]
-        e, pi = e[surv], pi[surv]
         coef = ch.noise_power / (-np.log1p(-e) * ch.mean_fading_power)
         rates, ok = _water_fill(coef, pi, spec)
         pbar = np.einsum("ij,ij->i", coef * (np.exp2(rates) - 1.0), pi)
@@ -306,34 +363,41 @@ def _water_fill(coef, pi, spec: ProblemSpec):
     return np.clip(x - lc, spec.r_min, rcap), ok
 
 
-def _search(schedule: AnnealingSchedule, draw):
+def _chunks(draw, rows: int, block: int):
+    """draw(rows), made as successive draws of at most `block` rows."""
+    for start in range(0, rows, block):
+        yield draw(min(block, rows - start))
+
+
+def _search(schedule: AnnealingSchedule, draw, block: int):
     """Minimum over every feasible draw of the schedule's budget.
 
     draw(rows) returns (candidates evaluated, how many are feasible,
     their average powers with inf for infeasible ones, and a function
-    giving the (eps, rates) table of a candidate by index).  Returns
-    (best table, improvements, feasible, evaluated, trace).
+    giving the (eps, rates) table of a candidate by index); it is called
+    with at most `block` rows.  Returns (best table, improvements,
+    feasible, evaluated, trace).
     """
     best = math.inf
     best_table = None
     improved = feasible = evaluated = 0
     trace: list[tuple[float, float, float]] = []
-    for temps in _temperature_blocks(schedule):
-        drawn, ok, pbar, table = draw(temps.size * schedule.outer_per_temp)
-        evaluated += drawn
-        feasible += ok
+    for temps in _temperature_blocks(schedule, block):
         block_min = math.inf
-        below = pbar[pbar < best]
-        if below.size:
-            # each strict prefix minimum of `below` lowers the running best
-            improved += 1 + int(np.count_nonzero(below[1:] < np.minimum.accumulate(below[:-1])))
-            j = int(np.argmin(pbar))
-            block_min = best = float(pbar[j])
-            best_table = table(j)
-        elif pbar.size:
-            block_min = float(pbar.min())
+        for drawn, ok, pbar, table in _chunks(draw, temps.size * schedule.outer_per_temp, block):
+            evaluated += drawn
+            feasible += ok
+            below = pbar[pbar < best]
+            if below.size:
+                # each strict prefix minimum of `below` lowers the running best
+                improved += 1 + int(np.count_nonzero(below[1:] < np.minimum.accumulate(below[:-1])))
+                j = int(np.argmin(pbar))
+                block_min = best = float(pbar[j])
+                best_table = table(j)
+            elif pbar.size:
+                block_min = min(block_min, float(pbar.min()))
+            del table  # frees these draws before the next ones are made
         trace.append((float(temps[-1]), block_min, best))
-        del table  # frees this block's draws before the next block is drawn
     if best_table is None:
         raise NoFeasibleSolution(evaluated)
     return best_table, improved, feasible, evaluated, tuple(trace)
@@ -341,8 +405,9 @@ def _search(schedule: AnnealingSchedule, draw):
 
 def _solve(spec: ProblemSpec, schedule: AnnealingSchedule, draw) -> SolveResult:
     """Run the search and evaluate its best table."""
+    block = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // (spec.n_states + 1)))
     (eps, rates), improved, feasible, evaluated, trace = _search(
-        _resolve_t0(schedule, draw), draw
+        _resolve_t0(schedule, draw, block), draw, block
     )
     policy = make_policy(eps, rates, spec.channel)
     return SolveResult(
@@ -389,22 +454,29 @@ def _step_count(schedule: AnnealingSchedule, t0: float):
     return math.floor(steps) + 1 if math.isfinite(steps) else math.inf
 
 
-def _temperature_blocks(schedule: AnnealingSchedule):
-    """Yield the cooling sequence in batches of temperature steps."""
+def _temperature_blocks(schedule: AnnealingSchedule, block: int):
+    """Yield the cooling sequence in batches of about `block` draws.
+
+    A batch holds at least one temperature step, so it exceeds `block`
+    draws when outer_per_temp does.
+    """
     t0 = schedule.t0
     n_steps = _step_count(schedule, t0)
-    block = max(1, _BLOCK_ROWS // schedule.outer_per_temp)
-    for start in range(0, n_steps, block):
-        stop = min(start + block, n_steps)
+    steps = max(1, block // schedule.outer_per_temp)
+    for start in range(0, n_steps, steps):
+        stop = min(start + steps, n_steps)
         b = np.arange(start, stop, dtype=float)
         yield t0 / (schedule.c_sa * b + 1.0)
 
 
-def _resolve_t0(schedule: AnnealingSchedule, draw) -> AnnealingSchedule:
+def _resolve_t0(schedule: AnnealingSchedule, draw, block: int) -> AnnealingSchedule:
     """Fill in an automatic t0 from a short probe of the search space."""
     if schedule.t0 is not None:
         return schedule
-    _, ok, pbar, _ = draw(10 * schedule.outer_per_temp)
-    t0 = 10.0 * float(pbar.min()) if ok else _T0_FALLBACK
+    low = math.inf
+    for _, ok, pbar, _ in _chunks(draw, 10 * schedule.outer_per_temp, block):
+        if ok:
+            low = min(low, float(pbar.min()))
+    t0 = 10.0 * low if low < math.inf else _T0_FALLBACK
     t0 = min(max(t0, 10.0 * schedule.t_min), _T0_MAX)
     return replace(schedule, t0=t0)

@@ -1,14 +1,18 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fadepower import annealer
 from fadepower.annealer import (
+    DELTA,
     AnnealingSchedule,
     NoFeasibleSolution,
     _fixed_draw,
     _steady_rows,
+    _tail_sum,
     _variable_draw,
     _water_fill,
     metropolis_accept,
@@ -369,3 +373,176 @@ def test_variable_solver_reaches_n1_optimum():
     assert res.best_avg_power == pytest.approx(VARIABLE_OPTIMA[1][2], rel=1e-3)
     # the grid search pins eps_1 = eps_out, so it is a bound, not an optimum
     assert res.best_avg_power < n1_variable_search(s, 2001)[1]
+
+
+def random_spec(rng, n_max=12):
+    ch = ChannelModel(
+        mean_fading_power=float(rng.uniform(0.5, 2.0)),
+        noise_power=float(rng.uniform(0.5, 2.0)),
+    )
+    peak = float(rng.choice([20.0, 100.0]))
+    return ProblemSpec(
+        gamma=float(rng.uniform(0.05, 0.5)),
+        n_states=int(rng.integers(1, n_max + 1)),
+        eps_out=float(rng.uniform(0.02, 0.6)),
+        avg_rate=float(rng.uniform(0.25, 2.0)),
+        r_min=0.001,
+        r_max=max_rate(peak, ch),
+        peak_power=peak,
+        channel=ch,
+    )
+
+
+def reference_fixed_draw(s, rng, rows):
+    """Fixed-rate powers by the direct cumprod/einsum formulas.
+
+    Reads the RNG stream as _fixed_draw does: per row the eps_0 fraction
+    t, then eps_1..eps_N unsorted (the last one under min(eps_out, cap)).
+    """
+    ch, n = s.channel, s.n_states
+    k_power = (2.0**s.avg_rate - 1.0) * ch.noise_power / ch.mean_fading_power
+    odds = s.gamma / (1.0 - s.gamma)
+    lo = max(DELTA, -math.expm1(-k_power / s.peak_power))
+    highs = np.full(n, min(1.0 - DELTA, odds))
+    highs[-1] = min(s.eps_out, highs[-1])
+    u = rng.random((rows, n + 1))
+    t = u[:, 0]
+    tail = np.sort(lo + u[:, 1:] * (highs - lo), axis=1)[:, ::-1]
+    w = np.ones((rows, n))
+    w[:, 1:] = np.cumprod(tail[:, :-1], axis=1)
+    w[:, -1] /= 1.0 - tail[:, -1]
+    w1 = w.sum(axis=1)
+    ub = np.minimum(1.0 - DELTA, odds / w1)
+    lb = np.maximum(lo, tail[:, 0])
+    e0 = lb + t * (ub - lb)
+    tail_cost = np.einsum("ij,ij->i", w, 1.0 / -np.log1p(-tail))
+    pbar = k_power * (1.0 / -np.log1p(-e0) + e0 * tail_cost) / (1.0 + e0 * w1)
+    pbar[ub < lb] = np.inf
+    return pbar, e0, tail
+
+
+def reference_variable_draw(s, rng, rows):
+    """Variable-rate powers with C2 tested as sum_i eps_i pi_i <= gamma on every row."""
+    ch = s.channel
+    highs = np.full(s.n_states + 1, 1.0 - DELTA)
+    highs[-1] = min(s.eps_out, highs[-1])
+    e = DELTA + rng.random((rows, s.n_states + 1)) * (highs - DELTA)
+    pi = _steady_rows(e)
+    surv = np.nonzero(np.einsum("ij,ij->i", e, pi) <= s.gamma)[0]
+    e, pi = e[surv], pi[surv]
+    coef = ch.noise_power / (-np.log1p(-e) * ch.mean_fading_power)
+    rates, ok = _water_fill(coef, pi, s)
+    pbar = np.einsum("ij,ij->i", coef * (np.exp2(rates) - 1.0), pi)
+    pbar[~ok] = np.inf
+    return pbar, e
+
+
+def test_draws_match_the_direct_formulas():
+    rng = np.random.default_rng(77)
+    compared = 0
+    for trial in range(40):
+        s = random_spec(rng)
+        rows, ok, pbar, table = _variable_draw(s, np.random.default_rng(trial))(300)
+        ref, e = reference_variable_draw(s, np.random.default_rng(trial), 300)
+        assert rows == 300 and ok == np.count_nonzero(np.isfinite(ref))
+        # the same rows survive C2 and get bit-identical powers
+        assert np.array_equal(pbar, ref), trial
+        assert all(np.array_equal(table(j)[0], e[j]) for j in range(e.shape[0]))
+        try:
+            draw = _fixed_draw(s, np.random.default_rng(trial))
+        except NoFeasibleSolution:
+            continue
+        rows, ok, pbar, table = draw(300)
+        ref, e0, tail = reference_fixed_draw(s, np.random.default_rng(trial), 300)
+        finite = np.isfinite(ref)
+        assert rows == 300 and ok == np.count_nonzero(finite)
+        assert np.array_equal(np.isfinite(pbar), finite), trial
+        np.testing.assert_allclose(pbar[finite], ref[finite], rtol=1e-12, atol=0.0)
+        for j in np.flatnonzero(finite)[:5]:
+            eps, _ = table(j)
+            np.testing.assert_allclose(eps, (e0[j], *tail[j]), rtol=1e-12, atol=0.0)
+        compared += 1
+    assert compared > 20
+
+
+def test_loss_rate_is_one_minus_pi0():
+    # gamma_r = sum_i eps_i pi_i = 1 - pi_0 = eps_0 W_1/(1 + eps_0 W_1)
+    rng = np.random.default_rng(11)
+    for n in range(1, 13):
+        e = rng.uniform(DELTA, 1.0 - DELTA, size=(20, n + 1))
+        x = e[:, 0] * _tail_sum(e[:, 1:])
+        for row, xr in zip(e, x):
+            pi = steady_state_for(row)
+            assert np.dot(row, pi) == pytest.approx(1.0 - pi[0], abs=1e-12)
+            assert 1.0 - pi[0] == pytest.approx(xr / (1.0 + xr), abs=1e-12)
+        np.testing.assert_allclose(_steady_rows(e)[:, 0], 1.0 / (1.0 + x), rtol=1e-12)
+
+
+def test_tail_sum_is_the_weighted_sum_of_its_terms():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 5, 12):
+        tail = rng.uniform(DELTA, 1.0 - DELTA, size=(30, n))
+        f = rng.uniform(0.1, 3.0, size=(30, n))
+        w = np.ones((30, n))
+        w[:, 1:] = np.cumprod(tail[:, :-1], axis=1)
+        w[:, -1] /= 1.0 - tail[:, -1]
+        np.testing.assert_allclose(_tail_sum(tail), w.sum(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(_tail_sum(tail, f), (w * f).sum(axis=1), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_results_do_not_depend_on_the_block_size(monkeypatch, n):
+    s = spec1(eps_out=0.1, n=n)
+    schedule = AnnealingSchedule(t_min=2.0, outer_per_temp=300, seed=n)
+
+    def solve_both():
+        return [solver(s, schedule) for solver in (solve_fixed, solve_variable)]
+
+    default = solve_both()
+    monkeypatch.setattr(annealer, "_BLOCK_ELEMENTS", 1000)
+    small = solve_both()
+    for a, b in zip(default, small):
+        assert len(b.trace) > len(a.trace)
+        assert (a.best_policy, a.best_avg_power) == (b.best_policy, b.best_avg_power)
+        assert (a.evaluated_count, a.feasible_count, a.accepted_count) == (
+            b.evaluated_count, b.feasible_count, b.accepted_count)
+
+
+def test_memory_of_one_draw_is_bounded():
+    def peak(outer_per_temp):
+        schedule = AnnealingSchedule(t0=None, t_min=1.0, c_sa=1e3, outer_per_temp=outer_per_temp)
+        tracemalloc.start()
+        try:
+            solve_fixed(spec1(eps_out=0.1, n=3), schedule)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(524288) <= 1.5 * peak(65536)
+
+
+# solve_variable at gamma 0.2, eps_out 0.1, R 1, P_m 100 W, schedule
+# AnnealingSchedule(t_min=0.05, seed=seed): (power, eps, rates, accepted,
+# feasible, evaluated).  Pinned exactly so that a change of the outage
+# draw's use of the RNG stream is seen.
+VARIABLE_GOLDEN = {
+    (1, 3): (3.8826815811027706, (0.24842597273240816, 0.006114840267714261),
+             (1.2497044495830134, 0.001), 8, 35530, 156000),
+    (1, 11): (3.887292630495107, (0.24844073584229315, 0.004952143764357382),
+              (1.2494274959250553, 0.001), 15, 35696, 157600),
+    (3, 3): (3.5490039449978545,
+             (0.0903451869839658, 0.9999208231901847, 0.6805816701912104, 0.03654056790624167),
+             (0.29208251738509583, 6.658211482751795, 3.8833449306614733, 0.001), 13, 23916, 168200),
+    (3, 11): (3.412432059377008,
+              (0.08148341484492, 0.9947419539299354, 0.996925970155276, 0.03224263267936975),
+              (0.23031332626923628, 6.178552711825849, 6.3190447322738805, 0.001), 19, 24174, 169600),
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(VARIABLE_GOLDEN))
+def test_variable_results_are_pinned(n, seed):
+    res = solve_variable(spec1(eps_out=0.1, n=n), AnnealingSchedule(t_min=0.05, seed=seed))
+    got = (res.best_avg_power, tuple(map(float, res.best_policy.eps)),
+           tuple(map(float, res.best_policy.rates)),
+           res.accepted_count, res.feasible_count, res.evaluated_count)
+    assert got == VARIABLE_GOLDEN[n, seed]
