@@ -28,10 +28,20 @@ non-decreasing), which does not exclude the optimum.
 * The product form gives gamma_r = 1 - pi_0 = eps_0 W_1/(1 + eps_0 W_1),
   with W_1 = 1 + eps_1 + eps_1 eps_2 + ... + eps_1...eps_{N-1}/(1 - eps_N).
   C2 is therefore eps_0 <= gamma/((1 - gamma) W_1).
+* The tail is laid out state-major: eps_1..eps_N of a block become N
+  contiguous rows of candidates (the transpose of the RNG block), so every
+  per-state step reads contiguous memory.  A compare-exchange network
+  (Batcher's odd-even merge sort, built once per solve) sorts the rows:
+  each exchange is one np.minimum and one np.maximum over two rows, which
+  gives exactly the values np.sort gives.  The network grows as
+  N log^2 N exchanges, so past N = 20 the block is sorted by np.sort
+  along the states instead.
 * W_1 and the tail's power sum_j w_j/(-ln(1 - eps_j)) (w_j the terms of
-  W_1) come from one backward Horner pass over the states each,
+  W_1) come from one fused backward Horner pass over the state rows,
   W_1 = 1 + eps_1(1 + eps_2(... + eps_{N-1}/(1 - eps_N))), with no
   matrix of products.
+* The block-sized arrays of a draw are views of buffers that the next
+  draw of the solve reuses, so a block costs no fresh pages of memory.
 * eps_0 = lb + t*(ub - lb) with t ~ U(0, 1), ub = min(1 - DELTA,
   gamma/((1 - gamma) W_1)) and lb = max(lo, eps_1).  A draw with ub < lb
   violates only the power order and is the one rejection left.
@@ -63,7 +73,8 @@ generalises closed_form.n1_variable_solution.
   rcap_i + log2 c_i.  Its values at the sorted kinks follow from the
   slope on each segment (a cumulative sum of +pi_i at a lower kink and
   -pi_i at an upper one); x is found exactly on the segment where f
-  crosses R, with no tolerance loop.
+  crosses R, with no tolerance loop.  One argsort along the rows sorts
+  the kinks of a block, and flat-index takes gather from it.
 * When sum pi_i r_min >= R already, x is the lowest kink and every rate
   is r_min.
 
@@ -100,6 +111,12 @@ from .policy import Policy, ProblemSpec, average_power, make_policy
 # bound the memory of a draw and set how many samples `trace` holds.
 _BLOCK_ELEMENTS = 2**17
 _BLOCK_ROWS = 65536
+
+# Largest burst budget N whose fixed-rate tail is sorted by a
+# compare-exchange network.  The network grows as N log^2 N
+# compare-exchanges; on a 2-core x86 host it drew faster than np.sort up to
+# N = 20 and slower from N = 24 on.
+_NETWORK_MAX_N = 20
 
 # Fallback initial temperature when no probe candidate is feasible, and
 # the ceiling of an automatic t0.
@@ -229,21 +246,32 @@ def _steady_rows(e):
     return w / w.sum(axis=1, keepdims=True)
 
 
-def _tail_sum(tail, f=None):
-    """sum_j w_j f_j per row of tail = (eps_1..eps_N), by one Horner pass.
+def _tail_sum(tail, f=None, out=None):
+    """W_1 of a state-major tail, and with f also sum_j w_j f_j, in one pass.
 
+    tail[j] holds eps_{j+1} of every row, and f[j] the f_{j+1}: an (N, rows)
+    array, the transpose of a row-major block, or a list of N rows.
     w_j = eps_1*...*eps_{j-1}, the terminal one over (1 - eps_N), are the
     stationary weights behind state 0: pi = (1, eps_0*w)/(1 + eps_0*W_1)
-    with W_1 = sum_j w_j, the value for f = None (every f_j = 1).  The pass
-    runs backwards: f_1 + eps_1(f_2 + ... + eps_{N-1} f_N/(1 - eps_N)).
+    with W_1 = sum_j w_j.  One backward Horner pass reads each state row
+    once and updates both sums, W_1 = 1 + eps_1(1 + ... + eps_{N-1}/(1 - eps_N))
+    and f_1 + eps_1(f_2 + ... + eps_{N-1} f_N/(1 - eps_N)).  Returns W_1,
+    or (W_1, sum_j w_j f_j) when f is given; out, a pair of rows, receives
+    them instead of new arrays.
     """
-    acc = 1.0 / (1.0 - tail[:, -1])
-    if f is not None:
-        acc *= f[:, -1]
-    for j in range(tail.shape[1] - 2, -1, -1):
-        acc *= tail[:, j]
-        acc += 1.0 if f is None else f[:, j]
-    return acc
+    w1 = np.empty_like(tail[-1]) if out is None else out[0]
+    wf = None if f is None else np.empty_like(w1) if out is None else out[1]
+    np.subtract(1.0, tail[-1], out=w1)
+    np.divide(1.0, w1, out=w1)
+    if wf is not None:
+        np.multiply(w1, f[-1], out=wf)
+    for j in range(len(tail) - 2, -1, -1):
+        w1 *= tail[j]
+        w1 += 1.0
+        if wf is not None:
+            wf *= tail[j]
+            wf += f[j]
+    return w1 if wf is None else (w1, wf)
 
 
 def _spread(u, lo: float, hi: float, hi_last: float):
@@ -254,10 +282,50 @@ def _spread(u, lo: float, hi: float, hi_last: float):
     u += lo
 
 
+def _sorting_network(n: int):
+    """Compare-exchange pairs (i, j), i < j, of Batcher's odd-even merge sort of n keys.
+
+    The power-of-two network with every pair that touches a key past n
+    dropped: padding keys of +inf would stay where they are.
+    """
+    pairs = []
+    p = 1
+    while p < n:
+        k = p
+        while k >= 1:
+            for j in range(k % p, n - k, 2 * k):
+                for i in range(j, min(j + k, n - k)):
+                    if i // (2 * p) == (i + k) // (2 * p):
+                        pairs.append((i, i + k))
+            k //= 2
+        p *= 2
+    return pairs
+
+
+def _sort_states(rows, pairs, spare):
+    """Sort state rows into non-increasing order by a compare-exchange network.
+
+    rows holds one 1-D array per state and spare one more of the same
+    length.  Each compare-exchange of `pairs` is one np.minimum and one
+    np.maximum over two contiguous rows, which gives exactly the values
+    np.sort gives.  Arrays are moved by reference, not copied, so the
+    returned list, largest state first, holds the arrays of rows and
+    spare in a new order.
+    """
+    rows = list(rows)
+    for i, j in pairs:
+        a, b = rows[i], rows[j]
+        rows[i] = np.minimum(a, b, out=spare)
+        np.maximum(a, b, out=b)
+        spare = a
+    return rows[::-1]
+
+
 def _fixed_draw(spec: ProblemSpec, rng):
     """Block draw of the fixed-rate problem; see the module docstring.
 
-    Raises NoFeasibleSolution(0) when the draw box is empty.
+    The powers and the table function a draw returns hold until the next
+    draw.  Raises NoFeasibleSolution(0) when the draw box is empty.
     """
     ch = spec.channel
     n = spec.n_states
@@ -269,27 +337,51 @@ def _fixed_draw(spec: ProblemSpec, rng):
     if min(spec.eps_out, cap) < lo:
         raise NoFeasibleSolution(0)
 
+    pairs = _sorting_network(n) if n <= _NETWORK_MAX_N else None
+    # The block-sized arrays of a draw are views of these buffers, which the
+    # next draw reuses: fresh ones would cost a page fault per 4 KiB.  None
+    # is larger than the RNG block.  A larger one, once freed, raises
+    # glibc's threshold for returning freed memory, which added 3.7 MiB to
+    # the peak RSS of a two-worker sweep.
+    buffers = None
+
     def draw(rows: int):
+        nonlocal buffers
+        if buffers is None or len(buffers[-1]) < rows:
+            # the RNG block, N keys and a spare row, N rows of 1/y, five
+            # single rows and a mask
+            buffers = [np.empty((rows, n + 1)), np.empty((n + 1, rows)), np.empty((n, rows))]
+            buffers += [np.empty(rows) for _ in range(5)] + [np.empty(rows, bool)]
         # one row of the RNG stream per candidate: t, then eps_1..eps_N unsorted
-        u = rng.random((rows, n + 1))
-        t = u[:, 0].copy()
-        _spread(u, lo, cap, min(spec.eps_out, cap))
-        tail = np.sort(u[:, 1:], axis=1)
-        inv_y = np.negative(tail)
-        np.log1p(inv_y, out=inv_y)
-        np.divide(-1.0, inv_y, out=inv_y)  # 1/(-ln(1 - eps_j))
-        tail, inv_y = tail[:, ::-1], inv_y[:, ::-1]  # eps non-increasing
-        w1 = _tail_sum(tail)
-        pbar = _tail_sum(tail, inv_y)  # sum_j w_j/(-ln(1 - eps_j))
+        u = rng.random(out=buffers[0][:rows])
+        keys_spare, inv_y, w1, pbar, e0, lb, y0, bad = (b[..., :rows] for b in buffers[1:])
+        keys, spare = keys_spare[:n], keys_spare[n]
+        t = u[:, 0]
+        # the tail state-major: tail[j] holds eps_{j+1} of every row, and
+        # eps is non-increasing in j
+        np.copyto(keys, u[:, 1:].T)
+        _spread(keys.T, lo, cap, min(spec.eps_out, cap))
+        if pairs is None:
+            keys.sort(axis=0)
+            tail = list(keys[::-1])
+        else:
+            tail = _sort_states(keys, pairs, spare)
+        for e, y in zip(tail, inv_y):
+            np.negative(e, out=y)
+            np.log1p(y, out=y)
+            np.divide(-1.0, y, out=y)  # 1/(-ln(1 - eps_j))
+        # W_1 and the tail power sum_j w_j/(-ln(1 - eps_j))
+        _tail_sum(tail, inv_y, out=(w1, pbar))
         # e0 starts as ub and becomes eps_0 = lb + t*(ub - lb)
-        e0 = np.minimum(odds / w1, 1.0 - DELTA)
-        lb = np.maximum(tail[:, 0], lo)
-        ok = e0 >= lb
+        np.divide(odds, w1, out=e0)
+        np.minimum(e0, 1.0 - DELTA, out=e0)
+        np.maximum(tail[0], lo, out=lb)
+        np.less(e0, lb, out=bad)
         e0 -= lb
         e0 *= t
         e0 += lb
         # pbar = k*(1/(-ln(1 - eps_0)) + eps_0*pbar)/(1 + eps_0*W_1)
-        y0 = np.negative(e0)
+        np.negative(e0, out=y0)
         np.log1p(y0, out=y0)
         pbar *= e0
         pbar -= np.reciprocal(y0, out=y0)
@@ -297,8 +389,9 @@ def _fixed_draw(spec: ProblemSpec, rng):
         w1 += 1.0
         pbar *= k_power
         pbar /= w1
-        pbar[~ok] = np.inf
-        return rows, int(np.count_nonzero(ok)), pbar, lambda j: ((e0[j], *tail[j]), rates)
+        pbar[bad] = np.inf
+        feasible = rows - int(np.count_nonzero(bad))
+        return rows, feasible, pbar, lambda j: ((e0[j], *(e[j] for e in tail)), rates)
 
     return draw
 
@@ -319,7 +412,7 @@ def _variable_draw(spec: ProblemSpec, rng):
         e = rng.random((rows, n1))
         _spread(e, DELTA, 1.0 - DELTA, top)
         # C2 before pi: gamma_r = eps_0 W_1/(1 + eps_0 W_1) <= gamma
-        surv = np.flatnonzero(e[:, 0] * _tail_sum(e[:, 1:]) <= odds)
+        surv = np.flatnonzero(e[:, 0] * _tail_sum(e[:, 1:].T) <= odds)
         e = e[surv]
         pi = _steady_rows(e)
         coef = ch.noise_power / (-np.log1p(-e) * ch.mean_fading_power)
@@ -334,33 +427,51 @@ def _variable_draw(spec: ProblemSpec, rng):
 def _water_fill(coef, pi, spec: ProblemSpec):
     """Cheapest rates per row meeting C1, C4 and PEAK; see the module docstring.
 
-    Returns the rates and a mask of the rows that have a feasible
-    allocation (the rates of the other rows are meaningless).
+    The 2(N+1) kinks of each row (lower kinks in the first half, upper in
+    the second) are written into one array, sorted along the rows by one
+    argsort, and every gather after it is a flat-index take (row offset
+    plus position) over the whole block.  Returns the rates and a mask of
+    the rows that have a feasible allocation (the rates of the other rows
+    are meaningless).
     """
+    rows, n1 = coef.shape
+    m = 2 * n1
     lc = np.log2(coef)
     rcap = np.minimum(spec.r_max, np.log2(1.0 + spec.peak_power / coef))
-    ok = (rcap.min(axis=1) >= spec.r_min) & (
+    ok = np.all(rcap >= spec.r_min, axis=1) & (
         np.einsum("ij,ij->i", rcap, pi) >= spec.avg_rate
     )
-    kinks = np.concatenate([spec.r_min + lc, rcap + lc], axis=1)
+    kinks = np.empty((rows, m))
+    np.add(spec.r_min, lc, out=kinks[:, :n1])
+    np.add(rcap, lc, out=kinks[:, n1:])
+    steps = np.empty((rows, m))
+    steps[:, :n1] = pi
+    np.negative(pi, out=steps[:, n1:])
     order = np.argsort(kinks, axis=1)
-    kinks = np.take_along_axis(kinks, order, axis=1)
-    steps = np.take_along_axis(np.concatenate([pi, -pi], axis=1), order, axis=1)
+    order += np.arange(0, rows * m, m)[:, None]
+    kinks = kinks.take(order)
+    steps = steps.take(order)
     gaps = np.diff(kinks, axis=1)
-    rise = np.cumsum(steps[:, :-1], axis=1) * gaps
+    rise = np.cumsum(steps[:, :-1], axis=1)
+    rise *= gaps
     # f at each sorted kink; at the first one every rate is r_min
     f = np.empty_like(kinks)
-    f[:, 0] = spec.r_min
-    f[:, 1:] = spec.r_min + np.cumsum(rise, axis=1)
+    f[:, 0] = 0.0
+    np.cumsum(rise, axis=1, out=f[:, 1:])
+    f += spec.r_min
     # the segment [kink_k, kink_k+1] on which f crosses R.  k = 0 with
     # f_0 >= R puts x at the first kink (every rate r_min); round-off that
     # leaves f below R at the last kink stops x there (every rate capped).
-    k = np.clip(np.count_nonzero(f < spec.avg_rate, axis=1) - 1, 0, gaps.shape[1] - 1)[:, None]
-    f_k = np.take_along_axis(f, k, axis=1)
-    rise_k = np.take_along_axis(rise, k, axis=1)
+    k = np.clip(np.count_nonzero(f < spec.avg_rate, axis=1) - 1, 0, m - 2)
+    at_f = k + np.arange(0, rows * m, m)
+    at_rise = k + np.arange(0, rows * (m - 1), m - 1)
+    f_k = f.take(at_f)
+    rise_k = rise.take(at_rise)
     t = np.divide(spec.avg_rate - f_k, rise_k, out=np.ones_like(f_k), where=rise_k > 0.0)
-    x = np.take_along_axis(kinks, k, axis=1) + np.clip(t, 0.0, 1.0) * np.take_along_axis(gaps, k, axis=1)
-    return np.clip(x - lc, spec.r_min, rcap), ok
+    np.clip(t, 0.0, 1.0, out=t)
+    t *= gaps.take(at_rise)
+    t += kinks.take(at_f)  # the water level x
+    return np.clip(t[:, None] - lc, spec.r_min, rcap), ok
 
 
 def _chunks(draw, rows: int, block: int):
@@ -375,7 +486,8 @@ def _search(schedule: AnnealingSchedule, draw, block: int):
     draw(rows) returns (candidates evaluated, how many are feasible,
     their average powers with inf for infeasible ones, and a function
     giving the (eps, rates) table of a candidate by index); it is called
-    with at most `block` rows.  Returns (best table, improvements,
+    with at most `block` rows, and its arrays may be reused by the next
+    call, so each block is reduced before the next one is drawn.  Returns (best table, improvements,
     feasible, evaluated, trace).
     """
     best = math.inf

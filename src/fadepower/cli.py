@@ -605,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="write result JSON here")
     sp.set_defaults(func=cmd_solve)
 
-    cf = sub.add_parser("closed-form", help="N=1 closed forms and grid oracles")
+    cf = sub.add_parser("closed-form", help="N=1 closed forms and grid searches")
     cf.add_argument("spec_file")
     cf.add_argument("--grid-points", dest="grid_points", type=int, default=2001)
     cf.add_argument("--out")

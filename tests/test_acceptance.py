@@ -2,7 +2,7 @@
 
 Each test pins one headline guarantee: numeric precision of the outage
 inversion, equivalence of the two steady-state routes, the two-state
-closed-form reference point, annealer quality against the grid oracles,
+closed-form reference point, annealer quality against the N=1 grid searches,
 Monte-Carlo consistency, the burst-budget power curves, and bit-exact
 solver determinism with always-feasible output.
 """

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from fadepower.annealer import (
     AnnealingSchedule,
     NoFeasibleSolution,
     _fixed_draw,
+    _sort_states,
+    _sorting_network,
+    _spread,
     _steady_rows,
     _tail_sum,
     _variable_draw,
@@ -114,6 +118,18 @@ def test_fixed_tracks_grid_oracle():
     res = solve_fixed(s, AnnealingSchedule(seed=1))
     assert res.best_avg_power <= oracle * 1.02
     assert res.best_avg_power >= oracle * (1.0 - 1e-9)
+
+
+def test_grid_search_is_only_a_bound_at_small_eps_out():
+    # the grid keeps the loss budget binding, which costs 7% at eps_out 0.02
+    s = spec1(eps_out=0.02)
+    _, grid = n1_fixed_search(s, 4001)
+    res = solve_fixed(s, AnnealingSchedule(seed=1))
+    rep = evaluate_fixed(res.best_policy, s)
+    assert rep.feasible
+    assert res.best_avg_power == pytest.approx(rep.avg_power, abs=1e-10)
+    assert res.best_avg_power <= 0.95 * grid
+    assert res.best_avg_power == pytest.approx(11.8771, rel=1e-3)
 
 
 def test_fixed_output_is_feasible_and_consistent():
@@ -470,7 +486,7 @@ def test_loss_rate_is_one_minus_pi0():
     rng = np.random.default_rng(11)
     for n in range(1, 13):
         e = rng.uniform(DELTA, 1.0 - DELTA, size=(20, n + 1))
-        x = e[:, 0] * _tail_sum(e[:, 1:])
+        x = e[:, 0] * _tail_sum(e[:, 1:].T)
         for row, xr in zip(e, x):
             pi = steady_state_for(row)
             assert np.dot(row, pi) == pytest.approx(1.0 - pi[0], abs=1e-12)
@@ -486,8 +502,10 @@ def test_tail_sum_is_the_weighted_sum_of_its_terms():
         w = np.ones((30, n))
         w[:, 1:] = np.cumprod(tail[:, :-1], axis=1)
         w[:, -1] /= 1.0 - tail[:, -1]
-        np.testing.assert_allclose(_tail_sum(tail), w.sum(axis=1), rtol=1e-12)
-        np.testing.assert_allclose(_tail_sum(tail, f), (w * f).sum(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(_tail_sum(tail.T), w.sum(axis=1), rtol=1e-12)
+        w1, wf = _tail_sum(list(tail.T), f.T)
+        np.testing.assert_allclose(w1, w.sum(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(wf, (w * f).sum(axis=1), rtol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 3, 10])
@@ -546,3 +564,168 @@ def test_variable_results_are_pinned(n, seed):
            tuple(map(float, res.best_policy.rates)),
            res.accepted_count, res.feasible_count, res.evaluated_count)
     assert got == VARIABLE_GOLDEN[n, seed]
+
+
+# solve_fixed at gamma 0.2, eps_out 0.1, R 1, P_m 100 W, schedule
+# AnnealingSchedule(t_min=0.05, seed=seed): (power, eps, accepted, feasible,
+# evaluated, trace length).  N = 25 sorts its tail with np.sort, the others
+# with the compare-exchange network.
+FIXED_GOLDEN = {
+    (1, 3): (5.041405202691562, (0.224994992930875, 0.0997629985937271), 13, 203800, 203800, 4),
+    (1, 11): (5.0428588666729315, (0.22496170101165908, 0.09970772968827388), 10, 203600, 203600, 4),
+    (3, 3): (4.500607572123446,
+             (0.20117468802080626, 0.20106991726680615, 0.18544353841121697, 0.09876516030579027),
+             10, 117533, 180800, 6),
+    (3, 11): (4.501256475116426,
+              (0.20181400315292294, 0.19699393435458415, 0.18954243405086632, 0.09812829645651347),
+              11, 117179, 180400, 6),
+    (10, 3): (4.481894613762144,
+              (0.20032063753695972, 0.1996380227093858, 0.19815875701566138, 0.18351987789007854,
+               0.18133612970707866, 0.1515967410720981, 0.11645382578529034, 0.067052888566898,
+               0.049750568932076134, 0.027610857686324757, 0.02120384681890205),
+              9, 22922, 179200, 16),
+    (10, 11): (4.481740359056607,
+               (0.2002147126940078, 0.20013669801942457, 0.19616771659543752, 0.19371417008077066,
+                0.18276577578277822, 0.17101060748461314, 0.09797470919289562, 0.06323510341762503,
+                0.04894904445563963, 0.04506736781945208, 0.03957120080520804),
+               7, 22772, 179200, 16),
+    (25, 3): (4.481549689162586,
+              (0.2001030121798578, 0.20010199756202046, 0.19904862391572134, 0.19283138545634734,
+               0.18762075027496886, 0.1711265687525634, 0.16910954613891446, 0.1636060635067941,
+               0.14973653894003758, 0.13342501336751567, 0.13146717249663203, 0.12938302737795385,
+               0.12865133141704477, 0.1089241551374954, 0.10040114460972575, 0.09988638386692728,
+               0.09417297691521231, 0.08820138298370173, 0.07860516515808727, 0.07340205668776911,
+               0.05645774727384168, 0.05637219452592521, 0.03897763314243888, 0.03472915726688526,
+               0.01910141352632116, 0.011727093199731363),
+              8, 677, 179800, 36),
+    (25, 11): (4.481793687714672,
+               (0.20013117540749456, 0.19992289807573974, 0.19788114729845155, 0.19652028071673278,
+                0.19194684006435878, 0.18295150124859674, 0.1755321996849056, 0.1716254521240112,
+                0.16736971713688617, 0.1610756968359158, 0.15314632511604864, 0.11684873324737094,
+                0.11031519071790807, 0.10795034331595403, 0.1044193332755106, 0.10357150995374838,
+                0.0868049752416879, 0.08624433960227966, 0.08521616280761204, 0.08510098662763547,
+                0.08287850259679366, 0.06056695567109709, 0.042197982326914976, 0.03295908392205884,
+                0.02455428583566801, 0.01252519889216079),
+               6, 669, 179200, 36),
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(FIXED_GOLDEN))
+def test_fixed_results_are_pinned(n, seed):
+    res = solve_fixed(spec1(eps_out=0.1, n=n), AnnealingSchedule(t_min=0.05, seed=seed))
+    got = (res.best_avg_power, tuple(map(float, res.best_policy.eps)),
+           res.accepted_count, res.feasible_count, res.evaluated_count, len(res.trace))
+    assert got == FIXED_GOLDEN[n, seed]
+
+
+def test_sorting_network_sorts_every_binary_input():
+    # 0-1 principle: a compare-exchange network that sorts every 0/1 input sorts every input
+    for n in range(1, 17):
+        bits = ((np.arange(2**n) >> np.arange(n)[:, None]) & 1).astype(float)
+        got = np.array(_sort_states(bits.copy(), _sorting_network(n), np.empty(2**n)))
+        assert np.array_equal(got, np.sort(bits, axis=0)[::-1]), n
+
+
+def test_sorting_network_gives_the_np_sort_values():
+    rng = np.random.default_rng(31)
+    lo, cap = 0.0123, 0.25
+    for n in range(1, 41):
+        keys = rng.uniform(lo, cap, size=(n, 600))
+        # ties, and values equal to the ends of the draw box
+        keys[:, :400] = rng.choice([lo, cap, 0.1, 0.2], size=(n, 400))
+        keys[:, 400:500] = np.round(keys[:, 400:500], 2)
+        want = np.sort(keys, axis=0)[::-1]
+        got = np.array(_sort_states(keys.copy(), _sorting_network(n), np.empty(600)))
+        assert np.array_equal(got, want), n
+
+
+def row_major_fixed_draw(s, rng, rows):
+    """Fixed-rate powers and tables by the row-major kernel.
+
+    np.sort on each row and the Horner sums over strided columns, in the
+    same arithmetic order as _fixed_draw, so the results must be equal.
+    """
+    ch, n = s.channel, s.n_states
+    k_power = (2.0**s.avg_rate - 1.0) * ch.noise_power / ch.mean_fading_power
+    odds = s.gamma / (1.0 - s.gamma)
+    lo = max(DELTA, -math.expm1(-k_power / s.peak_power))
+    cap = min(1.0 - DELTA, odds)
+    u = rng.random((rows, n + 1))
+    t = u[:, 0].copy()
+    _spread(u, lo, cap, min(s.eps_out, cap))
+    tail = np.sort(u[:, 1:], axis=1)
+    inv_y = -1.0 / np.log1p(-tail)
+    tail, inv_y = tail[:, ::-1], inv_y[:, ::-1]
+    w1 = 1.0 / (1.0 - tail[:, -1])
+    wf = w1 * inv_y[:, -1]
+    for j in range(n - 2, -1, -1):
+        w1 = w1 * tail[:, j] + 1.0
+        wf = wf * tail[:, j] + inv_y[:, j]
+    ub = np.minimum(odds / w1, 1.0 - DELTA)
+    lb = np.maximum(tail[:, 0], lo)
+    e0 = (ub - lb) * t + lb
+    pbar = (wf * e0 - 1.0 / np.log1p(-e0)) * k_power / (w1 * e0 + 1.0)
+    pbar[ub < lb] = np.inf
+    return pbar, np.column_stack([e0, tail])
+
+
+def test_fixed_draw_equals_the_row_major_kernel():
+    # N up to 30 crosses the network cutoff, so both sorts are compared
+    rng = np.random.default_rng(78)
+    routes = set()
+    for trial in range(40):
+        s = random_spec(rng, n_max=30)
+        try:
+            draw = _fixed_draw(s, np.random.default_rng(trial))
+        except NoFeasibleSolution:
+            continue
+        routes.add(s.n_states <= annealer._NETWORK_MAX_N)
+        ref_rng = np.random.default_rng(trial)
+        # the draw reuses its buffers: they grow, then a smaller block reuses them
+        for rows in (1, 257, 100):
+            _, ok, pbar, table = draw(rows)
+            ref, eps = row_major_fixed_draw(s, ref_rng, rows)
+            assert np.array_equal(pbar, ref), trial
+            assert ok == np.count_nonzero(np.isfinite(ref))
+            assert all(np.array_equal(table(j)[0], eps[j]) for j in range(rows))
+    assert routes == {True, False}
+
+
+def gather_water_fill(coef, pi, spec):
+    """The water-filling with take_along_axis gathers, as _water_fill computed it before."""
+    lc = np.log2(coef)
+    rcap = np.minimum(spec.r_max, np.log2(1.0 + spec.peak_power / coef))
+    ok = (rcap.min(axis=1) >= spec.r_min) & (np.einsum("ij,ij->i", rcap, pi) >= spec.avg_rate)
+    kinks = np.concatenate([spec.r_min + lc, rcap + lc], axis=1)
+    order = np.argsort(kinks, axis=1)
+    kinks = np.take_along_axis(kinks, order, axis=1)
+    steps = np.take_along_axis(np.concatenate([pi, -pi], axis=1), order, axis=1)
+    gaps = np.diff(kinks, axis=1)
+    rise = np.cumsum(steps[:, :-1], axis=1) * gaps
+    f = np.empty_like(kinks)
+    f[:, 0] = spec.r_min
+    f[:, 1:] = spec.r_min + np.cumsum(rise, axis=1)
+    k = np.clip(np.count_nonzero(f < spec.avg_rate, axis=1) - 1, 0, gaps.shape[1] - 1)[:, None]
+    f_k = np.take_along_axis(f, k, axis=1)
+    rise_k = np.take_along_axis(rise, k, axis=1)
+    t = np.divide(spec.avg_rate - f_k, rise_k, out=np.ones_like(f_k), where=rise_k > 0.0)
+    x = np.take_along_axis(kinks, k, axis=1) + np.clip(t, 0.0, 1.0) * np.take_along_axis(gaps, k, axis=1)
+    return np.clip(x - lc, spec.r_min, rcap), ok
+
+
+def test_water_fill_equals_the_gather_version():
+    rng = np.random.default_rng(79)
+    for trial in range(40):
+        s = random_spec(rng)
+        if trial % 4 == 0:
+            # r_max = r_min: each state's two kinks tie
+            s = replace(s, r_max=s.r_min)
+        e = rng.uniform(DELTA, 1.0 - DELTA, size=(300, s.n_states + 1))
+        # equal outages in two states: their kinks tie across states
+        e[::3, -1] = e[::3, 0]
+        pi = _steady_rows(e)
+        coef = s.channel.noise_power / (-np.log1p(-e) * s.channel.mean_fading_power)
+        rates, ok = _water_fill(coef, pi, s)
+        ref_rates, ref_ok = gather_water_fill(coef, pi, s)
+        assert np.array_equal(ok, ref_ok), trial
+        assert np.array_equal(rates, ref_rates), trial
