@@ -34,8 +34,10 @@ non-decreasing), which does not exclude the optimum.
   (Batcher's odd-even merge sort, built once per solve) sorts the rows:
   each exchange is one np.minimum and one np.maximum over two rows, which
   gives exactly the values np.sort gives.  The network grows as
-  N log^2 N exchanges, so past N = 20 the block is sorted by np.sort
-  along the states instead.
+  N log^2 N exchanges of two numpy calls each: on a 2-core x86 host a
+  whole draw is faster than the row-major draw with np.sort per row that
+  it replaced up to N = 50, costs the same at N = 60 and 1.3x as much at
+  N = 100.
 * W_1 and the tail's power sum_j w_j/(-ln(1 - eps_j)) (w_j the terms of
   W_1) come from one fused backward Horner pass over the state rows,
   W_1 = 1 + eps_1(1 + eps_2(... + eps_{N-1}/(1 - eps_N))), with no
@@ -111,12 +113,6 @@ from .policy import Policy, ProblemSpec, average_power, make_policy
 # bound the memory of a draw and set how many samples `trace` holds.
 _BLOCK_ELEMENTS = 2**17
 _BLOCK_ROWS = 65536
-
-# Largest burst budget N whose fixed-rate tail is sorted by a
-# compare-exchange network.  The network grows as N log^2 N
-# compare-exchanges; on a 2-core x86 host it drew faster than np.sort up to
-# N = 20 and slower from N = 24 on.
-_NETWORK_MAX_N = 20
 
 # Fallback initial temperature when no probe candidate is feasible, and
 # the ceiling of an automatic t0.
@@ -337,7 +333,7 @@ def _fixed_draw(spec: ProblemSpec, rng):
     if min(spec.eps_out, cap) < lo:
         raise NoFeasibleSolution(0)
 
-    pairs = _sorting_network(n) if n <= _NETWORK_MAX_N else None
+    pairs = _sorting_network(n)
     # The block-sized arrays of a draw are views of these buffers, which the
     # next draw reuses: fresh ones would cost a page fault per 4 KiB.  None
     # is larger than the RNG block.  A larger one, once freed, raises
@@ -348,24 +344,21 @@ def _fixed_draw(spec: ProblemSpec, rng):
     def draw(rows: int):
         nonlocal buffers
         if buffers is None or len(buffers[-1]) < rows:
-            # the RNG block, N keys and a spare row, N rows of 1/y, five
-            # single rows and a mask
-            buffers = [np.empty((rows, n + 1)), np.empty((n + 1, rows)), np.empty((n, rows))]
+            # the RNG block, N keys and a spare row, five single rows and a mask
+            buffers = [np.empty(rows * (n + 1)), np.empty((n + 1, rows))]
             buffers += [np.empty(rows) for _ in range(5)] + [np.empty(rows, bool)]
         # one row of the RNG stream per candidate: t, then eps_1..eps_N unsorted
-        u = rng.random(out=buffers[0][:rows])
-        keys_spare, inv_y, w1, pbar, e0, lb, y0, bad = (b[..., :rows] for b in buffers[1:])
+        u = rng.random(out=buffers[0][: rows * (n + 1)].reshape(rows, n + 1))
+        keys_spare, w1, pbar, e0, lb, t, bad = (b[..., :rows] for b in buffers[1:])
         keys, spare = keys_spare[:n], keys_spare[n]
-        t = u[:, 0]
+        np.copyto(t, u[:, 0])
         # the tail state-major: tail[j] holds eps_{j+1} of every row, and
         # eps is non-increasing in j
         np.copyto(keys, u[:, 1:].T)
         _spread(keys.T, lo, cap, min(spec.eps_out, cap))
-        if pairs is None:
-            keys.sort(axis=0)
-            tail = list(keys[::-1])
-        else:
-            tail = _sort_states(keys, pairs, spare)
+        tail = _sort_states(keys, pairs, spare)
+        # the RNG block is spent; its first N rows of candidates take 1/y
+        inv_y = buffers[0][: n * rows].reshape(n, rows)
         for e, y in zip(tail, inv_y):
             np.negative(e, out=y)
             np.log1p(y, out=y)
@@ -380,7 +373,9 @@ def _fixed_draw(spec: ProblemSpec, rng):
         e0 -= lb
         e0 *= t
         e0 += lb
-        # pbar = k*(1/(-ln(1 - eps_0)) + eps_0*pbar)/(1 + eps_0*W_1)
+        # pbar = k*(1/(-ln(1 - eps_0)) + eps_0*pbar)/(1 + eps_0*W_1), with
+        # y0 = ln(1 - eps_0) in the row t is done with
+        y0 = t
         np.negative(e0, out=y0)
         np.log1p(y0, out=y0)
         pbar *= e0
@@ -486,9 +481,10 @@ def _search(schedule: AnnealingSchedule, draw, block: int):
     draw(rows) returns (candidates evaluated, how many are feasible,
     their average powers with inf for infeasible ones, and a function
     giving the (eps, rates) table of a candidate by index); it is called
-    with at most `block` rows, and its arrays may be reused by the next
-    call, so each block is reduced before the next one is drawn.  Returns (best table, improvements,
-    feasible, evaluated, trace).
+    with at most `block` rows.  The fixed-rate draw reuses its arrays in
+    the next call, so each block is reduced, and its best table copied out
+    by table(j), before the next one is drawn.  Returns (best table,
+    improvements, feasible, evaluated, trace).
     """
     best = math.inf
     best_table = None
@@ -508,7 +504,7 @@ def _search(schedule: AnnealingSchedule, draw, block: int):
                 best_table = table(j)
             elif pbar.size:
                 block_min = min(block_min, float(pbar.min()))
-            del table  # frees these draws before the next ones are made
+            del table  # frees a variable-rate draw's arrays before the next draw
         trace.append((float(temps[-1]), block_min, best))
     if best_table is None:
         raise NoFeasibleSolution(evaluated)

@@ -568,8 +568,8 @@ def test_variable_results_are_pinned(n, seed):
 
 # solve_fixed at gamma 0.2, eps_out 0.1, R 1, P_m 100 W, schedule
 # AnnealingSchedule(t_min=0.05, seed=seed): (power, eps, accepted, feasible,
-# evaluated, trace length).  N = 25 sorts its tail with np.sort, the others
-# with the compare-exchange network.
+# evaluated, trace length).  N = 25 pins a deeper sorting network than the
+# benchmark's N <= 10.
 FIXED_GOLDEN = {
     (1, 3): (5.041405202691562, (0.224994992930875, 0.0997629985937271), 13, 203800, 203800, 4),
     (1, 11): (5.0428588666729315, (0.22496170101165908, 0.09970772968827388), 10, 203600, 203600, 4),
@@ -670,16 +670,13 @@ def row_major_fixed_draw(s, rng, rows):
 
 
 def test_fixed_draw_equals_the_row_major_kernel():
-    # N up to 30 crosses the network cutoff, so both sorts are compared
     rng = np.random.default_rng(78)
-    routes = set()
     for trial in range(40):
         s = random_spec(rng, n_max=30)
         try:
             draw = _fixed_draw(s, np.random.default_rng(trial))
         except NoFeasibleSolution:
             continue
-        routes.add(s.n_states <= annealer._NETWORK_MAX_N)
         ref_rng = np.random.default_rng(trial)
         # the draw reuses its buffers: they grow, then a smaller block reuses them
         for rows in (1, 257, 100):
@@ -688,7 +685,6 @@ def test_fixed_draw_equals_the_row_major_kernel():
             assert np.array_equal(pbar, ref), trial
             assert ok == np.count_nonzero(np.isfinite(ref))
             assert all(np.array_equal(table(j)[0], eps[j]) for j in range(rows))
-    assert routes == {True, False}
 
 
 def gather_water_fill(coef, pi, spec):
