@@ -42,11 +42,21 @@ non-decreasing), which does not exclude the optimum.
   W_1) come from one fused backward Horner pass over the state rows,
   W_1 = 1 + eps_1(1 + eps_2(... + eps_{N-1}/(1 - eps_N))), with no
   matrix of products.
-* The block-sized arrays of a draw are views of buffers that the next
-  draw of the solve reuses, so a block costs no fresh pages of memory.
 * eps_0 = lb + t*(ub - lb) with t ~ U(0, 1), ub = min(1 - DELTA,
   gamma/((1 - gamma) W_1)) and lb = max(lo, eps_1).  A draw with ub < lb
   violates only the power order and is the one rejection left.
+* Prefilter, N >= 2: most such rows are dropped before the sort, the N
+  log1p rows and the Horner pass.  m = eps_1, the largest outage of a row,
+  is one reduction over the unsorted state rows, and W_1 >= 1 + m, so a
+  row with odds/(1 + m) < max(m, lo), odds = gamma/(1 - gamma), has
+  ub < lb.  This holds in floating point: w >= 1 in Horner's last step
+  fl(fl(w*eps_1) + 1), so fl(W_1) >= fl(1 + eps_1), and a correctly
+  rounded division is monotone in its divisor.  The survivors are
+  gathered into the spent RNG block.  At gamma 0.2, eps_out 0.1 the
+  filter passes 82%, 67%, 37% and 17% of the rows at N = 2, 3, 6 and 10,
+  of which 81%, 65%, 33% and 13% are feasible.  A draw still returns one
+  power per drawn row, inf for a dropped row, and its table function
+  serves the feasible rows.  N = 1 has no sort to skip and no prefilter.
 * eps_0 is drawn, not pinned to ub: a binding loss budget is not optimal
   at small eps_out (pinned, N=1 at eps_out 0.02 costs 12.746 W against an
   optimum of 11.877 W).
@@ -90,6 +100,20 @@ memory of a run for every outer_per_temp.  Each candidate reads one
 contiguous slice of the RNG stream, so the draws, and every result but
 `trace`, do not depend on how the budget is cut into blocks.
 
+Buffers: the block-sized arrays of both draws are views of arrays that
+the solve keeps (a _Buffers) and the next draw overwrites, so a block
+costs no fresh pages of memory.  What still allocates is the argsort of
+the water-filling, the survivors' row indices and, in the fixed-rate
+draw, _spread's copy of the last column.  Fresh arrays cost a minor page fault per 4 KiB, and glibc
+trimmed the heap after each block, so every block faulted the same pages
+in again: 12 to 15 thousand faults per variable-rate solve at N = 1 and
+3.  The variable-rate draw works through a block in slices of
+_SLICE_ROWS rows: each slice is drawn, tested on C2 and water-filled on
+its own, and only the outages, rates and powers of the rows that meet
+C2 are kept for the whole block.  The arrays of the water-filling then
+hold one slice's survivors and stay in cache, and the arithmetic of each
+row is unchanged.
+
 Everything is a pure function of (spec, schedule): identical inputs give
 identical results.
 """
@@ -113,6 +137,12 @@ from .policy import Policy, ProblemSpec, average_power, make_policy
 # bound the memory of a draw and set how many samples `trace` holds.
 _BLOCK_ELEMENTS = 2**17
 _BLOCK_ROWS = 65536
+
+# Rows of one slice of a variable-rate block.  The slices of a block are
+# drawn, tested on C2 and water-filled one after another, so the arrays of
+# the water-filling hold the survivors of one slice (a sixth to a quarter
+# of its rows at gamma 0.2) and stay in cache.
+_SLICE_ROWS = 16384
 
 # Fallback initial temperature when no probe candidate is feasible, and
 # the ceiling of an automatic t0.
@@ -228,18 +258,56 @@ def metropolis_accept(
     return s < math.exp(-delta / temperature)
 
 
-def _steady_rows(e):
+class _Buffers:
+    """Named arrays that the draws of one solve write into, block after block.
+
+    A fresh block-sized array costs a minor page fault per 4 KiB, and
+    glibc trims the heap once a block's arrays are freed, so the next block
+    would fault the same pages in again.  buf(name, shape) returns the
+    first prod(shape) entries of the array called name, as a view of that
+    shape; the array is replaced by a larger one only when a view outgrows
+    it, so it ends as large as the largest view asked of it.  A view holds
+    until its name is asked for again.  Each name is its own allocation:
+    one array larger than the RNG block, once freed, raises glibc's
+    threshold for returning memory and with it the peak RSS of later work
+    in the process.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def __call__(self, name: str, shape, dtype=float):
+        size = math.prod(shape) if isinstance(shape, tuple) else shape
+        a = self._arrays.get(name)
+        if a is None or a.size < size:
+            # whole 4096-entry units: a survivor count that creeps up by a
+            # few rows does not replace the array every block
+            a = self._arrays[name] = np.empty(-(-size // 4096) * 4096, dtype)
+        return a[:size].reshape(shape)
+
+    def starts(self, rows: int, width: int):
+        """Flat index of the first entry of each row of a (rows, width) array."""
+        a = self._arrays.get(("starts", width))
+        if a is None or a.size < rows:
+            a = self._arrays["starts", width] = np.arange(0, rows * width, width)
+        return a[:rows]
+
+
+def _steady_rows(e, buf=None):
     """Stationary distributions of many outage vectors at once.
 
     Uses the product form of the success-runs chain: pi_j is proportional
     to eps_0*...*eps_{j-1}, with the terminal weight divided by
-    (1 - eps_N) to absorb the self-loop.
+    (1 - eps_N) to absorb the self-loop.  With buf (a _Buffers) the rows
+    are written into its arrays instead of new ones.
     """
+    buf = _Buffers() if buf is None else buf
     rows, n1 = e.shape
-    w = np.ones((rows, n1))
-    w[:, 1:] = np.cumprod(e[:, :-1], axis=1)
-    w[:, -1] /= 1.0 - e[:, -1]
-    return w / w.sum(axis=1, keepdims=True)
+    w = buf("pi", (rows, n1))
+    w[:, 0] = 1.0
+    np.cumprod(e[:, :-1], axis=1, out=w[:, 1:])
+    w[:, -1] /= np.subtract(1.0, e[:, -1], out=buf("pi_row", rows))
+    return np.divide(w, w.sum(axis=1, keepdims=True, out=buf("pi_row", (rows, 1))), out=w)
 
 
 def _tail_sum(tail, f=None, out=None):
@@ -270,9 +338,12 @@ def _tail_sum(tail, f=None, out=None):
     return w1 if wf is None else (w1, wf)
 
 
-def _spread(u, lo: float, hi: float, hi_last: float):
-    """Map uniforms u in place from [0, 1) to [lo, hi), the last column to [lo, hi_last)."""
-    last = u[:, -1] * (hi_last - lo)
+def _spread(u, lo: float, hi: float, hi_last: float, last=None):
+    """Map uniforms u in place from [0, 1) to [lo, hi), the last column to [lo, hi_last).
+
+    last, a row as long as u, holds the last column while the rest is scaled.
+    """
+    last = np.multiply(u[:, -1], hi_last - lo, out=last)
     u *= hi - lo
     u[:, -1] = last
     u += lo
@@ -317,11 +388,30 @@ def _sort_states(rows, pairs, spare):
     return rows[::-1]
 
 
+def _order_may_hold(keys, lo: float, odds: float, buf=None):
+    """Mask of the rows whose power order can hold, from unsorted state-major keys.
+
+    keys[j] holds one outage of every row, N >= 2 rows.  With m the largest
+    outage of a row, W_1 >= 1 + m, so ub <= odds/(1 + m) while lb =
+    max(m, lo): a row with odds/(1 + m) < max(m, lo) has ub < lb and is
+    dropped.  The bound holds in floating point (see the module
+    docstring).  With buf, the mask is its array "keep", and its rows "lb"
+    and "e0" are spent as scratch.
+    """
+    buf = _Buffers() if buf is None else buf
+    m = np.max(keys, axis=0, out=buf("lb", keys.shape[1]))
+    bound = np.add(m, 1.0, out=buf("e0", m.size))
+    np.divide(odds, bound, out=bound)
+    np.maximum(m, lo, out=m)
+    return np.greater_equal(bound, m, out=buf("keep", m.size, bool))
+
+
 def _fixed_draw(spec: ProblemSpec, rng):
     """Block draw of the fixed-rate problem; see the module docstring.
 
     The powers and the table function a draw returns hold until the next
-    draw.  Raises NoFeasibleSolution(0) when the draw box is empty.
+    draw; table(j) serves the rows with a finite power.  Raises
+    NoFeasibleSolution(0) when the draw box is empty.
     """
     ch = spec.channel
     n = spec.n_states
@@ -334,35 +424,41 @@ def _fixed_draw(spec: ProblemSpec, rng):
         raise NoFeasibleSolution(0)
 
     pairs = _sorting_network(n)
-    # The block-sized arrays of a draw are views of these buffers, which the
-    # next draw reuses: fresh ones would cost a page fault per 4 KiB.  None
-    # is larger than the RNG block.  A larger one, once freed, raises
-    # glibc's threshold for returning freed memory, which added 3.7 MiB to
-    # the peak RSS of a two-worker sweep.
-    buffers = None
+    # The block-sized arrays of a draw are views of these arrays, which the
+    # next draw reuses: the RNG block ("rng", which takes the survivors of
+    # the prefilter once spent), the state-major candidates ("cand", N + 1
+    # rows, which take 1/y and the sort's spare row once spent), the rows
+    # w1, pbar, e0, lb and bad of the rows that reach the sort, and, when
+    # the prefilter runs, its mask ("keep") and the powers of every drawn
+    # row ("drawn").
+    buf = _Buffers()
 
     def draw(rows: int):
-        nonlocal buffers
-        if buffers is None or len(buffers[-1]) < rows:
-            # the RNG block, N keys and a spare row, five single rows and a mask
-            buffers = [np.empty(rows * (n + 1)), np.empty((n + 1, rows))]
-            buffers += [np.empty(rows) for _ in range(5)] + [np.empty(rows, bool)]
         # one row of the RNG stream per candidate: t, then eps_1..eps_N unsorted
-        u = rng.random(out=buffers[0][: rows * (n + 1)].reshape(rows, n + 1))
-        keys_spare, w1, pbar, e0, lb, t, bad = (b[..., :rows] for b in buffers[1:])
-        keys, spare = keys_spare[:n], keys_spare[n]
-        np.copyto(t, u[:, 0])
+        u = rng.random(out=buf("rng", (rows, n + 1)))
+        # state-major: cand[0] holds t of every row and cand[j] eps_j
+        cand = buf("cand", (n + 1, rows))
+        np.copyto(cand, u.T)
+        _spread(cand[1:].T, lo, cap, min(spec.eps_out, cap))
+        if n > 1:
+            # drop the rows whose power order must fail, then gather the
+            # rest into the spent RNG block
+            kept = np.flatnonzero(_order_may_hold(cand[1:], lo, odds, buf))
+            s = kept.size
+            cand = np.take(cand, kept, axis=1, out=buf("rng", (n + 1, s)), mode="clip")
+            spent = buf("cand", (n + 1, s))
+        else:
+            kept, s, spent = None, rows, buf("rng", (n + 1, rows))
         # the tail state-major: tail[j] holds eps_{j+1} of every row, and
-        # eps is non-increasing in j
-        np.copyto(keys, u[:, 1:].T)
-        _spread(keys.T, lo, cap, min(spec.eps_out, cap))
-        tail = _sort_states(keys, pairs, spare)
-        # the RNG block is spent; its first N rows of candidates take 1/y
-        inv_y = buffers[0][: n * rows].reshape(n, rows)
+        # eps is non-increasing in j; 1/y takes N rows of the spent block
+        t, inv_y = cand[0], spent[:n]
+        tail = _sort_states(cand[1:], pairs, spent[n])
         for e, y in zip(tail, inv_y):
             np.negative(e, out=y)
             np.log1p(y, out=y)
             np.divide(-1.0, y, out=y)  # 1/(-ln(1 - eps_j))
+        w1, pbar, e0, lb = (buf(name, s) for name in ("w1", "pbar", "e0", "lb"))
+        bad = buf("bad", s, bool)
         # W_1 and the tail power sum_j w_j/(-ln(1 - eps_j))
         _tail_sum(tail, inv_y, out=(w1, pbar))
         # e0 starts as ub and becomes eps_0 = lb + t*(ub - lb)
@@ -385,8 +481,19 @@ def _fixed_draw(spec: ProblemSpec, rng):
         pbar *= k_power
         pbar /= w1
         pbar[bad] = np.inf
-        feasible = rows - int(np.count_nonzero(bad))
-        return rows, feasible, pbar, lambda j: ((e0[j], *(e[j] for e in tail)), rates)
+        feasible = s - int(np.count_nonzero(bad))
+        if kept is None:
+            return rows, feasible, pbar, lambda j: ((e0[j], *(e[j] for e in tail)), rates)
+        # one power per drawn row, inf for the rows the prefilter dropped
+        powers = buf("drawn", rows)
+        powers.fill(np.inf)
+        powers[kept] = pbar
+
+        def table(j):
+            i = int(np.searchsorted(kept, j))
+            return (e0[i], *(e[i] for e in tail)), rates
+
+        return rows, feasible, powers, table
 
     return draw
 
@@ -403,70 +510,108 @@ def _variable_draw(spec: ProblemSpec, rng):
     if top <= DELTA:
         raise NoFeasibleSolution(0)
 
+    buf = _Buffers()
+
     def draw(rows: int):
-        e = rng.random((rows, n1))
-        _spread(e, DELTA, 1.0 - DELTA, top)
-        # C2 before pi: gamma_r = eps_0 W_1/(1 + eps_0 W_1) <= gamma
-        surv = np.flatnonzero(e[:, 0] * _tail_sum(e[:, 1:].T) <= odds)
-        e = e[surv]
-        pi = _steady_rows(e)
-        coef = ch.noise_power / (-np.log1p(-e) * ch.mean_fading_power)
-        rates, ok = _water_fill(coef, pi, spec)
-        pbar = np.einsum("ij,ij->i", coef * (np.exp2(rates) - 1.0), pi)
-        pbar[~ok] = np.inf
-        return rows, int(np.count_nonzero(ok)), pbar, lambda j: (e[j].copy(), rates[j].copy())
+        # the outages, rates and powers of the rows that meet C2, in draw order
+        e, rates, pbar = buf("e", (rows, n1)), buf("rates", (rows, n1)), buf("pbar", rows)
+        done = feasible = 0
+        for start in range(0, rows, _SLICE_ROWS):
+            u = rng.random(out=buf("rng", (min(_SLICE_ROWS, rows - start), n1)))
+            _spread(u, DELTA, 1.0 - DELTA, top, last=buf("w1", len(u)))
+            # C2 before pi: gamma_r = eps_0 W_1/(1 + eps_0 W_1) <= gamma
+            x = _tail_sum(u[:, 1:].T, out=(buf("w1", len(u)),))
+            x *= u[:, 0]
+            surv = np.flatnonzero(np.less_equal(x, odds, out=buf("c2", len(u), bool)))
+            at = slice(done, done + surv.size)
+            es = np.take(u, surv, axis=0, out=e[at], mode="clip")
+            pi = _steady_rows(es, buf)
+            coef = np.negative(es, out=buf("coef", es.shape))
+            np.log1p(coef, out=coef)
+            np.negative(coef, out=coef)
+            coef *= ch.mean_fading_power
+            np.divide(ch.noise_power, coef, out=coef)
+            r, ok = _water_fill(coef, pi, spec, buf)
+            np.copyto(rates[at], r)
+            power = np.exp2(r, out=buf("power", es.shape))
+            power -= 1.0
+            power *= coef
+            ps = np.einsum("ij,ij->i", power, pi, out=pbar[at])
+            ps[np.logical_not(ok, out=buf("infeasible", ok.size, bool))] = np.inf
+            feasible += int(np.count_nonzero(ok))
+            done += surv.size
+        e, rates = e[:done], rates[:done]
+        return rows, feasible, pbar[:done], lambda j: (e[j].copy(), rates[j].copy())
 
     return draw
 
 
-def _water_fill(coef, pi, spec: ProblemSpec):
+def _water_fill(coef, pi, spec: ProblemSpec, buf=None):
     """Cheapest rates per row meeting C1, C4 and PEAK; see the module docstring.
 
     The 2(N+1) kinks of each row (lower kinks in the first half, upper in
     the second) are written into one array, sorted along the rows by one
     argsort, and every gather after it is a flat-index take (row offset
-    plus position) over the whole block.  Returns the rates and a mask of
+    plus position) over all rows.  Returns the rates and a mask of
     the rows that have a feasible allocation (the rates of the other rows
-    are meaningless).
+    are meaningless).  With buf (a _Buffers) every array but the
+    argsort's is one of its arrays, the rates and the mask included.
     """
+    buf = _Buffers() if buf is None else buf
     rows, n1 = coef.shape
     m = 2 * n1
-    lc = np.log2(coef)
-    rcap = np.minimum(spec.r_max, np.log2(1.0 + spec.peak_power / coef))
-    ok = np.all(rcap >= spec.r_min, axis=1) & (
-        np.einsum("ij,ij->i", rcap, pi) >= spec.avg_rate
-    )
-    kinks = np.empty((rows, m))
+    lc = np.log2(coef, out=buf("lc", (rows, n1)))
+    rcap = np.divide(spec.peak_power, coef, out=buf("rcap", (rows, n1)))
+    rcap += 1.0
+    np.log2(rcap, out=rcap)
+    np.minimum(spec.r_max, rcap, out=rcap)
+    ok = np.greater_equal(rcap, spec.r_min, out=buf("state_ok", (rows, n1), bool))
+    ok = ok.all(axis=1, out=buf("ok", rows, bool))
+    cap_rate = np.einsum("ij,ij->i", rcap, pi, out=buf("cap_rate", rows))
+    ok &= np.greater_equal(cap_rate, spec.avg_rate, out=buf("c1", rows, bool))
+    kinks = buf("kinks", (rows, m))
     np.add(spec.r_min, lc, out=kinks[:, :n1])
     np.add(rcap, lc, out=kinks[:, n1:])
-    steps = np.empty((rows, m))
+    steps = buf("steps", (rows, m))
     steps[:, :n1] = pi
     np.negative(pi, out=steps[:, n1:])
+    starts = buf.starts(rows, m)
     order = np.argsort(kinks, axis=1)
-    order += np.arange(0, rows * m, m)[:, None]
-    kinks = kinks.take(order)
-    steps = steps.take(order)
-    gaps = np.diff(kinks, axis=1)
-    rise = np.cumsum(steps[:, :-1], axis=1)
+    order += starts[:, None]
+    sorted_kinks = kinks.take(order, out=buf("sorted_kinks", (rows, m)), mode="clip")
+    f = steps.take(order, out=buf("sorted_steps", (rows, m)), mode="clip")
+    del order
+    # the unsorted kinks and steps are spent.  gaps and rise, m - 1 wide,
+    # take the first m - 1 columns of their arrays, so one flat index,
+    # position plus row start, gathers from f, rise and gaps alike.
+    gaps, rise = kinks[:, :-1], steps[:, :-1]
+    np.subtract(sorted_kinks[:, 1:], sorted_kinks[:, :-1], out=gaps)
+    np.cumsum(f[:, :-1], axis=1, out=rise)
     rise *= gaps
-    # f at each sorted kink; at the first one every rate is r_min
-    f = np.empty_like(kinks)
+    # f (over the spent sorted steps) at each sorted kink; at the first one
+    # every rate is r_min
     f[:, 0] = 0.0
     np.cumsum(rise, axis=1, out=f[:, 1:])
     f += spec.r_min
     # the segment [kink_k, kink_k+1] on which f crosses R.  k = 0 with
     # f_0 >= R puts x at the first kink (every rate r_min); round-off that
     # leaves f below R at the last kink stops x there (every rate capped).
-    k = np.clip(np.count_nonzero(f < spec.avg_rate, axis=1) - 1, 0, m - 2)
-    at_f = k + np.arange(0, rows * m, m)
-    at_rise = k + np.arange(0, rows * (m - 1), m - 1)
-    f_k = f.take(at_f)
-    rise_k = rise.take(at_rise)
-    t = np.divide(spec.avg_rate - f_k, rise_k, out=np.ones_like(f_k), where=rise_k > 0.0)
+    below = np.less(f, spec.avg_rate, out=buf("below", (rows, m), bool))
+    at = below.sum(axis=1, out=buf("at", rows, np.intp))
+    at -= 1
+    np.clip(at, 0, m - 2, out=at)
+    at += starts
+    f_k = f.take(at, out=buf("f_k", rows), mode="clip")
+    rise_k = steps.take(at, out=buf("rise_k", rows), mode="clip")  # rise at k
+    np.subtract(spec.avg_rate, f_k, out=f_k)
+    t = buf("t", rows)
+    t.fill(1.0)
+    np.divide(f_k, rise_k, out=t, where=np.greater(rise_k, 0.0, out=buf("c1", rows, bool)))
     np.clip(t, 0.0, 1.0, out=t)
-    t *= gaps.take(at_rise)
-    t += kinks.take(at_f)  # the water level x
-    return np.clip(t[:, None] - lc, spec.r_min, rcap), ok
+    t *= kinks.take(at, out=rise_k, mode="clip")  # the gap of segment k
+    t += sorted_kinks.take(at, out=rise_k, mode="clip")  # the water level x
+    rates = np.subtract(t[:, None], lc, out=lc)
+    return np.clip(rates, spec.r_min, rcap, out=rates), ok
 
 
 def _chunks(draw, rows: int, block: int):
@@ -480,11 +625,11 @@ def _search(schedule: AnnealingSchedule, draw, block: int):
 
     draw(rows) returns (candidates evaluated, how many are feasible,
     their average powers with inf for infeasible ones, and a function
-    giving the (eps, rates) table of a candidate by index); it is called
-    with at most `block` rows.  The fixed-rate draw reuses its arrays in
-    the next call, so each block is reduced, and its best table copied out
-    by table(j), before the next one is drawn.  Returns (best table,
-    improvements, feasible, evaluated, trace).
+    giving the (eps, rates) table of a feasible candidate by index); it is
+    called with at most `block` rows.  Both draws write every block into
+    arrays that their next call overwrites, so each block is reduced, and
+    its best table copied out by table(j), before the next one is drawn.
+    Returns (best table, improvements, feasible, evaluated, trace).
     """
     best = math.inf
     best_table = None
@@ -504,7 +649,6 @@ def _search(schedule: AnnealingSchedule, draw, block: int):
                 best_table = table(j)
             elif pbar.size:
                 block_min = min(block_min, float(pbar.min()))
-            del table  # frees a variable-rate draw's arrays before the next draw
         trace.append((float(temps[-1]), block_min, best))
     if best_table is None:
         raise NoFeasibleSolution(evaluated)

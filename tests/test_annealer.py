@@ -12,6 +12,7 @@ from fadepower.annealer import (
     AnnealingSchedule,
     NoFeasibleSolution,
     _fixed_draw,
+    _order_may_hold,
     _sort_states,
     _sorting_network,
     _spread,
@@ -438,7 +439,11 @@ def reference_fixed_draw(s, rng, rows):
 
 
 def reference_variable_draw(s, rng, rows):
-    """Variable-rate powers with C2 tested as sum_i eps_i pi_i <= gamma on every row."""
+    """Variable-rate powers with C2 tested as sum_i eps_i pi_i <= gamma on every row.
+
+    Fresh arrays throughout, and the take_along_axis water-filling, so the
+    buffered draw is compared with code it does not share.
+    """
     ch = s.channel
     highs = np.full(s.n_states + 1, 1.0 - DELTA)
     highs[-1] = min(s.eps_out, highs[-1])
@@ -447,7 +452,7 @@ def reference_variable_draw(s, rng, rows):
     surv = np.nonzero(np.einsum("ij,ij->i", e, pi) <= s.gamma)[0]
     e, pi = e[surv], pi[surv]
     coef = ch.noise_power / (-np.log1p(-e) * ch.mean_fading_power)
-    rates, ok = _water_fill(coef, pi, s)
+    rates, ok = gather_water_fill(coef, pi, s)
     pbar = np.einsum("ij,ij->i", coef * (np.exp2(rates) - 1.0), pi)
     pbar[~ok] = np.inf
     return pbar, e
@@ -527,16 +532,18 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, n):
 
 
 def test_memory_of_one_draw_is_bounded():
-    def peak(outer_per_temp):
+    # both draws reuse block-sized arrays, which must not grow with the step width
+    def peak(solver, outer_per_temp):
         schedule = AnnealingSchedule(t0=None, t_min=1.0, c_sa=1e3, outer_per_temp=outer_per_temp)
         tracemalloc.start()
         try:
-            solve_fixed(spec1(eps_out=0.1, n=3), schedule)
+            solver(spec1(eps_out=0.1, n=3), schedule)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(524288) <= 1.5 * peak(65536)
+    for solver in (solve_fixed, solve_variable):
+        assert peak(solver, 524288) <= 1.5 * peak(solver, 65536), solver.__name__
 
 
 # solve_variable at gamma 0.2, eps_out 0.1, R 1, P_m 100 W, schedule
@@ -684,7 +691,8 @@ def test_fixed_draw_equals_the_row_major_kernel():
             ref, eps = row_major_fixed_draw(s, ref_rng, rows)
             assert np.array_equal(pbar, ref), trial
             assert ok == np.count_nonzero(np.isfinite(ref))
-            assert all(np.array_equal(table(j)[0], eps[j]) for j in range(rows))
+            # table(j) is defined for the feasible rows, which _search asks for
+            assert all(np.array_equal(table(j)[0], eps[j]) for j in np.flatnonzero(np.isfinite(ref)))
 
 
 def gather_water_fill(coef, pi, spec):
@@ -725,3 +733,84 @@ def test_water_fill_equals_the_gather_version():
         ref_rates, ref_ok = gather_water_fill(coef, pi, s)
         assert np.array_equal(ok, ref_ok), trial
         assert np.array_equal(rates, ref_rates), trial
+
+
+def row_major_order_bounds(tail, lo, odds):
+    """ub and lb of sorted row-major tails, W_1 by the row-major Horner pass."""
+    w1 = 1.0 / (1.0 - tail[:, -1])
+    for j in range(tail.shape[1] - 2, -1, -1):
+        w1 = w1 * tail[:, j] + 1.0
+    return np.minimum(odds / w1, 1.0 - DELTA), np.maximum(tail[:, 0], lo)
+
+
+def wrongly_dropped(may_hold, keys, lo, odds):
+    """Rows of state-major keys that may_hold drops although their ub >= lb."""
+    keep = may_hold(keys, lo, odds)
+    ub, lb = row_major_order_bounds(np.sort(keys.T, axis=1)[:, ::-1], lo, odds)
+    return int(np.count_nonzero(~keep & (ub >= lb)))
+
+
+def square_bound(keys, lo, odds):
+    # W_1 >= 1 + m + m*m is not a bound: W_1 is 1 + m(1 + eps_2 + ...)
+    m = keys.max(axis=0)
+    return odds / (1.0 + m + m * m) >= np.maximum(m, lo)
+
+
+def ulp_bound(keys, lo, odds):
+    # one ulp above 1 + m: W_1 equals 1 + m when the other outages vanish
+    m = keys.max(axis=0)
+    return odds / np.nextafter(1.0 + m, 2.0) >= np.maximum(m, lo)
+
+
+def order_edge_rows(rng, n):
+    """State-major tails and their (lo, odds) at the edges of the prefilter.
+
+    eps_1 = m steps by single ulps across the root of odds/(1 + m) = m.
+    The other outages are 0 (then W_1 = 1 + m exactly), the smallest
+    float, lo, m itself (ties), random values below m, or eps_N at
+    min(eps_out, cap); gamma runs up to 0.5 (odds 1), and lo from 0 to
+    just past the root.
+    """
+    for gamma in (0.05, 0.2, 0.35, 0.45, 0.5 - 1e-9, 0.5):
+        odds = gamma / (1.0 - gamma)
+        cap = min(1.0 - DELTA, odds)
+        root = (math.sqrt(1.0 + 4.0 * odds) - 1.0) / 2.0
+        m = root + np.arange(-16, 17) * np.spacing(root)
+        for lo in (0.0, DELTA, float(m[10]), float(m[-1])):
+            m_lo = np.maximum(m, lo)
+            for rest in (0.0, 5e-324, lo, m_lo, rng.uniform(size=(n - 1, m.size)) * m_lo,
+                         min(float(rng.uniform(DELTA, cap)), cap)):
+                keys = np.empty((n, m.size))
+                keys[0] = m_lo
+                keys[1:] = np.minimum(rest, m_lo)
+                yield keys, lo, odds
+
+
+def random_order_rows(rng, n, rows=400):
+    """Unsorted state-major tails drawn in the fixed-rate box of a random spec."""
+    s = replace(random_spec(rng), n_states=n)
+    k_power = (2.0**s.avg_rate - 1.0) * s.channel.noise_power / s.channel.mean_fading_power
+    odds = s.gamma / (1.0 - s.gamma)
+    lo = max(DELTA, -math.expm1(-k_power / s.peak_power))
+    cap = min(1.0 - DELTA, odds)
+    keys = rng.random((rows, n))
+    _spread(keys, lo, cap, min(s.eps_out, max(cap, lo)))
+    return np.ascontiguousarray(keys.T), lo, odds
+
+
+def test_prefilter_drops_only_rows_that_break_the_power_order():
+    rng = np.random.default_rng(80)
+    checked = dropped = 0
+    for n in range(2, 31):
+        cases = list(order_edge_rows(rng, n)) + [random_order_rows(rng, n) for _ in range(4)]
+        for keys, lo, odds in cases:
+            assert wrongly_dropped(_order_may_hold, keys, lo, odds) == 0, (n, lo, odds)
+            checked += keys.shape[1]
+            dropped += int(np.count_nonzero(~_order_may_hold(keys, lo, odds)))
+    assert 0 < dropped < checked
+    # the test catches bounds tighter than W_1 >= 1 + eps_1: a square term
+    # on random rows, a single ulp on the rows at the edge
+    random_rows = [random_order_rows(rng, n) for n in range(2, 31) for _ in range(4)]
+    assert sum(wrongly_dropped(square_bound, *case) for case in random_rows) > 0
+    edge_rows = list(order_edge_rows(rng, 3))
+    assert sum(wrongly_dropped(ulp_bound, *case) for case in edge_rows) > 0
