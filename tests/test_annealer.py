@@ -778,8 +778,10 @@ def order_edge_rows(rng, n):
         m = root + np.arange(-16, 17) * np.spacing(root)
         for lo in (0.0, DELTA, float(m[10]), float(m[-1])):
             m_lo = np.maximum(m, lo)
-            for rest in (0.0, 5e-324, lo, m_lo, rng.uniform(size=(n - 1, m.size)) * m_lo,
-                         min(float(rng.uniform(DELTA, cap)), cap)):
+            spread = rng.uniform(size=(n - 1, m.size)) * m_lo
+            last_at_eps_out = spread.copy()
+            last_at_eps_out[-1] = min(float(rng.uniform(DELTA, 1.0)), cap)
+            for rest in (0.0, 5e-324, lo, m_lo, spread, last_at_eps_out):
                 keys = np.empty((n, m.size))
                 keys[0] = m_lo
                 keys[1:] = np.minimum(rest, m_lo)
@@ -794,7 +796,7 @@ def random_order_rows(rng, n, rows=400):
     lo = max(DELTA, -math.expm1(-k_power / s.peak_power))
     cap = min(1.0 - DELTA, odds)
     keys = rng.random((rows, n))
-    _spread(keys, lo, cap, min(s.eps_out, max(cap, lo)))
+    _spread(keys, lo, cap, min(s.eps_out, cap))
     return np.ascontiguousarray(keys.T), lo, odds
 
 
