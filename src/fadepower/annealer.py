@@ -89,6 +89,30 @@ generalises closed_form.n1_variable_solution.
   the kinks of a block, and flat-index takes gather from it.
 * When sum pi_i r_min >= R already, x is the lowest kink and every rate
   is r_min.
+* Bound before water-filling.  The search needs only the minimum, and
+  most survivors cannot beat the best table already found.  By weighted
+  AM-GM, sum pi_i c_i 2^r_i >= 2^(sum pi_i r_i) prod c_i^pi_i, so every
+  allocation with sum pi_i r_i >= R costs at least
+  L = 2^(R + sum pi_i log2 c_i) - sum pi_i c_i, with equality when no
+  rate is clipped.  A draw given a limit (the search passes its running
+  best) computes every survivor's feasibility (_rate_caps, the first half
+  of the water-filling) and L, and water-fills only the feasible rows
+  whose L, less a margin of 1e-12 times the sum of L's two terms, lies
+  below a threshold: the limit, or the cheapest exact power of the
+  block's earlier slices if lower.  The margin covers the rounding of L
+  and of the power: where the two are equal in exact arithmetic, their
+  computed gap stayed within 11 ulps of those terms for N <= 30, against
+  about 4500 ulps of margin.  Every other survivor reads inf.  A row that
+  lowers the running minimum of its block below the limit costs less than
+  the threshold of its slice, so it is always water-filled: the best
+  table, its power and the improvement, feasible and evaluated counts do
+  not depend on the bound.
+* The exact block minimum.  `trace` records the minimum of every block,
+  so when a block lowers nothing, the skipped feasible rows whose bound
+  lies below the cheapest exact power are water-filled after its last
+  slice.  At gamma 0.2, eps_out 0.1 a solve water-fills about 20% of the
+  C2 survivors at N = 1 and 8% at N = 3, plus 0.02% and 0.5-1.2% for the
+  block minima.
 
 Both solvers therefore search over the outage vector alone.
 
@@ -103,16 +127,17 @@ contiguous slice of the RNG stream, so the draws, and every result but
 Buffers: the block-sized arrays of both draws are views of arrays that
 the solve keeps (a _Buffers) and the next draw overwrites, so a block
 costs no fresh pages of memory.  What still allocates is the argsort of
-the water-filling, the survivors' row indices and, in the fixed-rate
-draw, _spread's copy of the last column.  Fresh arrays cost a minor page fault per 4 KiB, and glibc
+the water-filling, the row indices of the survivors and of the rows
+water-filled and, in the fixed-rate draw, _spread's copy of the last
+column.  Fresh arrays cost a minor page fault per 4 KiB, and glibc
 trimmed the heap after each block, so every block faulted the same pages
 in again: 12 to 15 thousand faults per variable-rate solve at N = 1 and
 3.  The variable-rate draw works through a block in slices of
-_SLICE_ROWS rows: each slice is drawn, tested on C2 and water-filled on
-its own, and only the outages, rates and powers of the rows that meet
-C2 are kept for the whole block.  The arrays of the water-filling then
-hold one slice's survivors and stay in cache, and the arithmetic of each
-row is unchanged.
+_SLICE_ROWS rows: each slice is drawn, tested on C2, bounded and
+water-filled on its own, and only the outages, rates, powers and bounds
+of the rows that meet C2 are kept for the whole block.  The arrays of
+the water-filling then hold one slice's survivors and stay in cache, and
+the arithmetic of each row is unchanged.
 
 Everything is a pure function of (spec, schedule): identical inputs give
 identical results.
@@ -143,6 +168,13 @@ _BLOCK_ROWS = 65536
 # the water-filling hold the survivors of one slice (a sixth to a quarter
 # of its rows at gamma 0.2) and stay in cache.
 _SLICE_ROWS = 16384
+
+# Relative rounding margin of the variable-rate power bound: a row is
+# water-filled only when (1 - margin) 2^(R + sum pi_i log2 c_i) -
+# (1 + margin) sum pi_i c_i lies below the threshold.  About 4500 ulps
+# (2.2e-16 each) of the two terms, against a computed gap of at most 11
+# ulps between bound and power seen at N <= 30; see the module docstring.
+_BOUND_MARGIN = 1e-12
 
 # Fallback initial temperature when no probe candidate is feasible, and
 # the ceiling of an automatic t0.
@@ -409,9 +441,11 @@ def _order_may_hold(keys, lo: float, odds: float, buf=None):
 def _fixed_draw(spec: ProblemSpec, rng):
     """Block draw of the fixed-rate problem; see the module docstring.
 
-    The powers and the table function a draw returns hold until the next
-    draw; table(j) serves the rows with a finite power.  Raises
-    NoFeasibleSolution(0) when the draw box is empty.
+    draw(rows, limit) returns the exact power of every drawn row, inf for
+    the infeasible ones; it takes limit for the search's draw contract
+    and ignores it.  The powers and the table function a draw returns hold
+    until the next draw; table(j) serves the rows with a finite power.
+    Raises NoFeasibleSolution(0) when the draw box is empty.
     """
     ch = spec.channel
     n = spec.n_states
@@ -433,7 +467,7 @@ def _fixed_draw(spec: ProblemSpec, rng):
     # row ("drawn").
     buf = _Buffers()
 
-    def draw(rows: int):
+    def draw(rows: int, limit: float | None = None):
         # one row of the RNG stream per candidate: t, then eps_1..eps_N unsorted
         u = rng.random(out=buf("rng", (rows, n + 1)))
         # state-major: cand[0] holds t of every row and cand[j] eps_j
@@ -501,7 +535,12 @@ def _fixed_draw(spec: ProblemSpec, rng):
 def _variable_draw(spec: ProblemSpec, rng):
     """Block draw of the variable-rate problem; see the module docstring.
 
-    Raises NoFeasibleSolution(0) when no outage fits under eps_out.
+    draw(rows, limit) returns a power for every row that meets C2: exact
+    for every row that could lower the running minimum of the block below
+    limit, and for the block minimum, and inf for the others, and for every
+    infeasible row.  With limit None every feasible row is water-filled.
+    The table function serves the rows with an exact power.  Raises
+    NoFeasibleSolution(0) when no outage fits under eps_out.
     """
     ch = spec.channel
     n1 = spec.n_states + 1
@@ -512,9 +551,31 @@ def _variable_draw(spec: ProblemSpec, rng):
 
     buf = _Buffers()
 
-    def draw(rows: int):
-        # the outages, rates and powers of the rows that meet C2, in draw order
+    def prepare(es):
+        # pi, c_i = N0/(-ln(1 - eps_i) Omega), log2 c_i, rate caps and
+        # feasibility of the outage rows es
+        pi = _steady_rows(es, buf)
+        coef = np.negative(es, out=buf("coef", es.shape))
+        np.log1p(coef, out=coef)
+        np.negative(coef, out=coef)
+        coef *= ch.mean_fading_power
+        np.divide(ch.noise_power, coef, out=coef)
+        return (pi, coef, *_rate_caps(coef, pi, spec, buf))
+
+    def fill(pi, coef, lc, rcap):
+        # rates (written over lc) and powers of feasible rows
+        r = _water_fill(lc, rcap, pi, spec, buf)
+        power = np.exp2(r, out=buf("power", r.shape))
+        power -= 1.0
+        power *= coef
+        return r, np.einsum("ij,ij->i", power, pi, out=buf("filled", len(r)))
+
+    def draw(rows: int, limit: float | None = None):
+        # the outages, rates and powers of the rows that meet C2, in draw
+        # order, and the power bounds of their feasible rows (inf elsewhere)
         e, rates, pbar = buf("e", (rows, n1)), buf("rates", (rows, n1)), buf("pbar", rows)
+        bound = buf("bound", rows)
+        low = math.inf  # the cheapest exact power of the block so far
         done = feasible = 0
         for start in range(0, rows, _SLICE_ROWS):
             u = rng.random(out=buf("rng", (min(_SLICE_ROWS, rows - start), n1)))
@@ -525,41 +586,53 @@ def _variable_draw(spec: ProblemSpec, rng):
             surv = np.flatnonzero(np.less_equal(x, odds, out=buf("c2", len(u), bool)))
             at = slice(done, done + surv.size)
             es = np.take(u, surv, axis=0, out=e[at], mode="clip")
-            pi = _steady_rows(es, buf)
-            coef = np.negative(es, out=buf("coef", es.shape))
-            np.log1p(coef, out=coef)
-            np.negative(coef, out=coef)
-            coef *= ch.mean_fading_power
-            np.divide(ch.noise_power, coef, out=coef)
-            r, ok = _water_fill(coef, pi, spec, buf)
-            np.copyto(rates[at], r)
-            power = np.exp2(r, out=buf("power", es.shape))
-            power -= 1.0
-            power *= coef
-            ps = np.einsum("ij,ij->i", power, pi, out=pbar[at])
-            ps[np.logical_not(ok, out=buf("infeasible", ok.size, bool))] = np.inf
+            pi, coef, lc, rcap, ok = prepare(es)
             feasible += int(np.count_nonzero(ok))
+            b = _power_bound(coef, lc, pi, spec, buf, out=bound[at])
+            b[np.logical_not(ok, out=buf("infeasible", ok.size, bool))] = np.inf
+            # water-fill only the rows whose bound is below the threshold;
+            # every feasible bound is finite, so inf passes them all
+            cut = math.inf if limit is None else min(limit, low)
+            todo = np.flatnonzero(np.less(b, cut, out=ok))
+            part = [np.take(a, todo, axis=0, out=buf(name, (todo.size, n1)), mode="clip")
+                    for name, a in (("pi_fill", pi), ("coef_fill", coef), ("lc_fill", lc),
+                                    ("rcap_fill", rcap))]
+            r, ps = fill(*part)
+            pbar[at] = np.inf
+            todo += done
+            pbar[todo] = ps
+            rates[todo] = r
+            if ps.size:
+                low = min(low, float(ps.min()))
             done += surv.size
-        e, rates = e[:done], rates[:done]
-        return rows, feasible, pbar[:done], lambda j: (e[j].copy(), rates[j].copy())
+        e, rates, pbar, bound = e[:done], rates[:done], pbar[:done], bound[:done]
+        if limit is not None and low >= limit:
+            # the block lowers nothing: its minimum is exact once every
+            # skipped row whose bound lies below the cheapest exact power
+            # is water-filled too
+            late = np.less(bound, low, out=buf("late", done, bool))
+            late &= np.isinf(pbar, out=buf("skipped", done, bool))
+            late = np.flatnonzero(late)
+            if late.size:
+                pi, coef, lc, rcap, _ = prepare(
+                    np.take(e, late, axis=0, out=buf("e_late", (late.size, n1)), mode="clip"))
+                r, ps = fill(pi, coef, lc, rcap)
+                pbar[late] = ps
+                rates[late] = r
+        return rows, feasible, pbar, lambda j: (e[j].copy(), rates[j].copy())
 
     return draw
 
 
-def _water_fill(coef, pi, spec: ProblemSpec, buf=None):
-    """Cheapest rates per row meeting C1, C4 and PEAK; see the module docstring.
+def _rate_caps(coef, pi, spec: ProblemSpec, buf=None):
+    """log2 c_i, the rate caps rcap_i and each row's feasibility (PEAK and C1).
 
-    The 2(N+1) kinks of each row (lower kinks in the first half, upper in
-    the second) are written into one array, sorted along the rows by one
-    argsort, and every gather after it is a flat-index take (row offset
-    plus position) over all rows.  Returns the rates and a mask of
-    the rows that have a feasible allocation (the rates of the other rows
-    are meaningless).  With buf (a _Buffers) every array but the
-    argsort's is one of its arrays, the rates and the mask included.
+    rcap_i = min(r_max, log2(1 + P_m/c_i)); a row is feasible when every
+    rcap_i >= r_min and sum pi_i rcap_i >= R.  With buf (a _Buffers) the
+    three arrays are its arrays.
     """
     buf = _Buffers() if buf is None else buf
     rows, n1 = coef.shape
-    m = 2 * n1
     lc = np.log2(coef, out=buf("lc", (rows, n1)))
     rcap = np.divide(spec.peak_power, coef, out=buf("rcap", (rows, n1)))
     rcap += 1.0
@@ -569,6 +642,43 @@ def _water_fill(coef, pi, spec: ProblemSpec, buf=None):
     ok = ok.all(axis=1, out=buf("ok", rows, bool))
     cap_rate = np.einsum("ij,ij->i", rcap, pi, out=buf("cap_rate", rows))
     ok &= np.greater_equal(cap_rate, spec.avg_rate, out=buf("c1", rows, bool))
+    return lc, rcap, ok
+
+
+def _power_bound(coef, lc, pi, spec: ProblemSpec, buf=None, out=None):
+    """Lower bound on the water-filled power of each row, less a rounding margin.
+
+    L = 2^(R + sum pi_i log2 c_i) - sum pi_i c_i (weighted AM-GM); returns
+    (1 - _BOUND_MARGIN) 2^(R + ...) - (1 + _BOUND_MARGIN) sum pi_i c_i, which
+    the computed power of every feasible row reaches (see the module
+    docstring).  out, a row, receives it instead of a new array.
+    """
+    buf = _Buffers() if buf is None else buf
+    bound = np.einsum("ij,ij->i", lc, pi, out=out)
+    bound += spec.avg_rate
+    np.exp2(bound, out=bound)
+    bound *= 1.0 - _BOUND_MARGIN
+    mean_c = np.einsum("ij,ij->i", coef, pi, out=buf("mean_coef", len(bound)))
+    mean_c *= 1.0 + _BOUND_MARGIN
+    bound -= mean_c
+    return bound
+
+
+def _water_fill(lc, rcap, pi, spec: ProblemSpec, buf=None):
+    """Cheapest rates per row meeting C1, C4 and PEAK; see the module docstring.
+
+    lc holds log2 c_i and rcap the rate caps of each row, as _rate_caps
+    returns them; the rates of a row _rate_caps marks infeasible are
+    meaningless.  The 2(N+1) kinks of each row (lower kinks in the first
+    half, upper in the second) are written into one array, sorted along the
+    rows by one argsort, and every gather after it is a flat-index take
+    (row offset plus position) over all rows.  The rates are written over
+    lc.  With buf (a _Buffers) every array but the argsort's is one of its
+    arrays.
+    """
+    buf = _Buffers() if buf is None else buf
+    rows, n1 = lc.shape
+    m = 2 * n1
     kinks = buf("kinks", (rows, m))
     np.add(spec.r_min, lc, out=kinks[:, :n1])
     np.add(rcap, lc, out=kinks[:, n1:])
@@ -606,49 +716,61 @@ def _water_fill(coef, pi, spec: ProblemSpec, buf=None):
     np.subtract(spec.avg_rate, f_k, out=f_k)
     t = buf("t", rows)
     t.fill(1.0)
-    np.divide(f_k, rise_k, out=t, where=np.greater(rise_k, 0.0, out=buf("c1", rows, bool)))
+    np.divide(f_k, rise_k, out=t, where=np.greater(rise_k, 0.0, out=buf("rising", rows, bool)))
     np.clip(t, 0.0, 1.0, out=t)
     t *= kinks.take(at, out=rise_k, mode="clip")  # the gap of segment k
     t += sorted_kinks.take(at, out=rise_k, mode="clip")  # the water level x
     rates = np.subtract(t[:, None], lc, out=lc)
-    return np.clip(rates, spec.r_min, rcap, out=rates), ok
+    return np.clip(rates, spec.r_min, rcap, out=rates)
 
 
-def _chunks(draw, rows: int, block: int):
-    """draw(rows), made as successive draws of at most `block` rows."""
+def _chunks(rows: int, block: int):
+    """Sizes of the successive draws, of at most `block` rows, that make up `rows`."""
     for start in range(0, rows, block):
-        yield draw(min(block, rows - start))
+        yield min(block, rows - start)
 
 
 def _search(schedule: AnnealingSchedule, draw, block: int):
     """Minimum over every feasible draw of the schedule's budget.
 
-    draw(rows) returns (candidates evaluated, how many are feasible,
-    their average powers with inf for infeasible ones, and a function
-    giving the (eps, rates) table of a feasible candidate by index); it is
-    called with at most `block` rows.  Both draws write every block into
-    arrays that their next call overwrites, so each block is reduced, and
-    its best table copied out by table(j), before the next one is drawn.
-    Returns (best table, improvements, feasible, evaluated, trace).
+    draw(rows, limit) returns (candidates evaluated, how many are feasible,
+    their average powers, and a function giving the (eps, rates) table of
+    a candidate with a finite power by index); it is called with at most
+    `block` rows and the running best as limit.  The powers are exact for
+    every row that could lower the running minimum of the block below
+    limit, and for the block minimum; other rows may read inf, as
+    infeasible ones do.  Both draws write every block into arrays that
+    their next call overwrites, so each block is reduced, and its best
+    table copied out by table(j), before the next one is drawn.  The draws
+    that lowered the running best are the strict drops of one running
+    minimum, written into an array the search keeps.  Returns (best
+    table, improvements, feasible, evaluated, trace).
     """
+    buf = _Buffers()
     best = math.inf
     best_table = None
     improved = feasible = evaluated = 0
     trace: list[tuple[float, float, float]] = []
     for temps in _temperature_blocks(schedule, block):
         block_min = math.inf
-        for drawn, ok, pbar, table in _chunks(draw, temps.size * schedule.outer_per_temp, block):
+        for rows in _chunks(temps.size * schedule.outer_per_temp, block):
+            drawn, ok, pbar, table = draw(rows, best)
             evaluated += drawn
             feasible += ok
-            below = pbar[pbar < best]
-            if below.size:
-                # each strict prefix minimum of `below` lowers the running best
-                improved += 1 + int(np.count_nonzero(below[1:] < np.minimum.accumulate(below[:-1])))
-                j = int(np.argmin(pbar))
-                block_min = best = float(pbar[j])
+            if not pbar.size:
+                continue
+            j = int(np.argmin(pbar))
+            low = float(pbar[j])
+            if low < best:
+                # the draws that lower the best lie between the first row
+                # below it and the first row at the block minimum, j
+                i = int(np.less(pbar[:j + 1], best, out=buf("below", j + 1, bool)).argmax())
+                run = np.minimum.accumulate(pbar[i:j + 1], out=buf("run", j + 1 - i))
+                drops = np.less(run[1:], run[:-1], out=buf("drops", j - i, bool))
+                improved += 1 + int(np.count_nonzero(drops))
+                best = low
                 best_table = table(j)
-            elif pbar.size:
-                block_min = min(block_min, float(pbar.min()))
+            block_min = min(block_min, low)
         trace.append((float(temps[-1]), block_min, best))
     if best_table is None:
         raise NoFeasibleSolution(evaluated)
@@ -726,7 +848,8 @@ def _resolve_t0(schedule: AnnealingSchedule, draw, block: int) -> AnnealingSched
     if schedule.t0 is not None:
         return schedule
     low = math.inf
-    for _, ok, pbar, _ in _chunks(draw, 10 * schedule.outer_per_temp, block):
+    for rows in _chunks(10 * schedule.outer_per_temp, block):
+        _, ok, pbar, _ = draw(rows, low)
         if ok:
             low = min(low, float(pbar.min()))
     t0 = 10.0 * low if low < math.inf else _T0_FALLBACK

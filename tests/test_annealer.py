@@ -13,6 +13,8 @@ from fadepower.annealer import (
     NoFeasibleSolution,
     _fixed_draw,
     _order_may_hold,
+    _power_bound,
+    _rate_caps,
     _sort_states,
     _sorting_network,
     _spread,
@@ -177,7 +179,10 @@ def test_seed_determinism_bitexact():
     c = solve_variable(s, LIGHT)
     d = solve_variable(s, LIGHT)
     assert c == d
-    assert solve_fixed(s, AnnealingSchedule(t0=50.0, t_min=0.5, seed=5)) != a or True
+    # another seed, same schedule otherwise: another stream, another best table
+    other = replace(LIGHT, seed=5)
+    assert solve_fixed(s, other).best_avg_power != a.best_avg_power
+    assert solve_variable(s, other).best_avg_power != c.best_avg_power
 
 
 def test_different_seeds_explore_differently():
@@ -377,7 +382,9 @@ def test_water_filling_reproduces_known_optima(n):
     e = np.array([eps])
     pi = _steady_rows(e)
     coef = CH.noise_power / (-np.log1p(-e) * CH.mean_fading_power)
-    r, ok = _water_fill(coef, pi, spec1(eps_out=0.1, n=n))
+    s = spec1(eps_out=0.1, n=n)
+    lc, rcap, ok = _rate_caps(coef, pi, s)
+    r = _water_fill(lc, rcap, pi, s)
     assert ok.tolist() == [True]
     np.testing.assert_allclose(r[0], rates, rtol=0.0, atol=1e-9)
     pbar = float(np.dot(pi[0], coef[0] * (np.exp2(r[0]) - 1.0)))
@@ -564,6 +571,31 @@ VARIABLE_GOLDEN = {
 }
 
 
+# The trace of each VARIABLE_GOLDEN solve: (temperature, block minimum, best)
+# per block.  The block minima come from every feasible draw of a block, so
+# a draw that skips rows must still find each block's exact minimum.
+VARIABLE_TRACE = {
+    (1, 3): ((0.11937265274737754, 3.882681581102764, 3.882681581102764),
+             (0.05968632637368877, 3.8883516811015526, 3.882681581102764),
+             (0.05004468903640059, 3.8833349037506544, 3.882681581102764)),
+    (1, 11): ((0.12056766170608124, 3.8915151710504388, 3.8915151710504388),
+              (0.06028383085304062, 3.8872926304950983, 3.8872926304950983),
+              (0.05003251951508701, 3.8907034229057382, 3.8872926304950983)),
+    (3, 3): ((0.2581475552994406, 3.8967877643768256, 3.8967877643768256),
+             (0.1290737776497203, 3.980632580350286, 3.8967877643768256),
+             (0.08604918509981353, 3.549003944997854, 3.549003944997854),
+             (0.06453688882486015, 3.7479715834023137, 3.549003944997854),
+             (0.05162951105988812, 3.822720302713299, 3.549003944997854),
+             (0.05003335495102119, 3.9736170710871295, 3.549003944997854)),
+    (3, 11): ((0.26019494973899654, 3.8226432889221935, 3.8226432889221935),
+              (0.13009747486949827, 3.412432059377007, 3.412432059377007),
+              (0.08673164991299884, 3.938827222383433, 3.412432059377007),
+              (0.06504873743474913, 3.6372524806463833, 3.412432059377007),
+              (0.052038989947799305, 3.928216613375154, 3.412432059377007),
+              (0.05001388774464202, 4.079173650117543, 3.412432059377007)),
+}
+
+
 @pytest.mark.parametrize("n, seed", sorted(VARIABLE_GOLDEN))
 def test_variable_results_are_pinned(n, seed):
     res = solve_variable(spec1(eps_out=0.1, n=n), AnnealingSchedule(t_min=0.05, seed=seed))
@@ -571,6 +603,9 @@ def test_variable_results_are_pinned(n, seed):
            tuple(map(float, res.best_policy.rates)),
            res.accepted_count, res.feasible_count, res.evaluated_count)
     assert got == VARIABLE_GOLDEN[n, seed]
+    assert res.trace == VARIABLE_TRACE[n, seed]
+
+
 
 
 # solve_fixed at gamma 0.2, eps_out 0.1, R 1, P_m 100 W, schedule
@@ -729,10 +764,114 @@ def test_water_fill_equals_the_gather_version():
         e[::3, -1] = e[::3, 0]
         pi = _steady_rows(e)
         coef = s.channel.noise_power / (-np.log1p(-e) * s.channel.mean_fading_power)
-        rates, ok = _water_fill(coef, pi, s)
+        lc, rcap, ok = _rate_caps(coef, pi, s)
+        rates = _water_fill(lc, rcap, pi, s)
         ref_rates, ref_ok = gather_water_fill(coef, pi, s)
         assert np.array_equal(ok, ref_ok), trial
         assert np.array_equal(rates, ref_rates), trial
+
+
+def bound_and_power(e, s):
+    """The draw's power bound and water-filled power of outage rows e, and their masks.
+
+    Returns (bound, power, feasible, interior, all_r_min): interior marks
+    the rows whose every rate lies strictly inside (r_min, rcap), where the
+    bound equals the power but for rounding and the margin.
+    """
+    pi = _steady_rows(e)
+    coef = s.channel.noise_power / (-np.log1p(-e) * s.channel.mean_fading_power)
+    lc, rcap, ok = _rate_caps(coef, pi, s)
+    bound = _power_bound(coef, lc, pi, s)
+    rates = _water_fill(lc, rcap, pi, s)
+    power = np.einsum("ij,ij->i", coef * (np.exp2(rates) - 1.0), pi)
+    interior = np.all((rates > s.r_min) & (rates < rcap), axis=1)
+    return bound, power, ok, ok & interior, ok & np.all(rates == s.r_min, axis=1)
+
+
+def test_power_bound_is_sound():
+    rng = np.random.default_rng(81)
+    seen = dict.fromkeys(("feasible", "interior", "all r_min"), 0)
+    for trial in range(60):
+        ch = ChannelModel(
+            mean_fading_power=float(rng.uniform(0.5, 2.0)),
+            noise_power=float(rng.uniform(0.5, 2.0)),
+        )
+        peak = float(rng.choice([20.0, 100.0]))
+        rate = float(rng.choice([0.5, 1.0, 3.0]))
+        # r_min >= R: sum pi_i r_min >= R and every rate sits at r_min
+        r_min = float(rng.choice([0.001, rate, 1.5 * rate]))
+        s = ProblemSpec(
+            gamma=float(rng.uniform(0.05, 0.5)),
+            n_states=int(rng.integers(1, 11)),
+            eps_out=float(rng.uniform(0.02, 0.6)),
+            avg_rate=rate,
+            r_min=r_min,
+            r_max=max(max_rate(peak, ch), r_min),
+            peak_power=peak,
+            channel=ch,
+        )
+        # the C2 survivors of a draw, and rows of nearly equal outages,
+        # whose rates all lie inside (r_min, rcap)
+        n1 = s.n_states + 1
+        _, _, pbar, table = _variable_draw(s, np.random.default_rng(trial))(2000)
+        drawn = np.reshape([table(j)[0] for j in range(pbar.size)], (-1, n1))
+        base = rng.uniform(0.02, 0.6, size=(500, 1))
+        near = base * (1.0 + 0.02 * rng.uniform(-1.0, 1.0, size=(500, n1)))
+        e = np.vstack([drawn, near, rng.uniform(DELTA, 1.0 - DELTA, size=(500, n1))])
+        bound, power, ok, interior, at_r_min = bound_and_power(e, s)
+        assert np.all(power[ok] >= bound[ok]), trial
+        seen["feasible"] += int(np.count_nonzero(ok))
+        seen["interior"] += int(np.count_nonzero(interior))
+        seen["all r_min"] += int(np.count_nonzero(at_r_min))
+    assert min(seen.values()) > 1000, seen
+
+
+def test_power_bound_is_tight_where_no_rate_is_clipped():
+    # with every rate interior the power equals 2^(R + sum pi log2 c) -
+    # sum pi c, so the margin is all that keeps the bound below it
+    rng = np.random.default_rng(82)
+    s = spec1(n=3)
+    e = rng.uniform(0.1, 0.3) * (1.0 + 0.02 * rng.uniform(-1.0, 1.0, size=(4000, 4)))
+    bound, power, ok, interior, _ = bound_and_power(e, s)
+    assert interior.all()
+    np.testing.assert_allclose(bound, power, rtol=1e-11)
+    assert np.all(power >= bound)
+
+
+def test_bounded_draw_keeps_the_minimum_records_and_table(monkeypatch):
+    # a limit may turn powers into inf, but never the block minimum, a
+    # draw that lowers the running minimum below limit, or the argmin table
+    monkeypatch.setattr(annealer, "_SLICE_ROWS", 256)
+    rng = np.random.default_rng(83)
+    skipped = late = 0
+    for trial in range(30):
+        s = random_spec(rng, n_max=10)
+        rows, ok, full, table = _variable_draw(s, np.random.default_rng(trial))(2000)
+        full = full.copy()
+        finite = full[np.isfinite(full)]
+        if not finite.size:
+            continue
+        j = int(np.argmin(full))
+        best_table = table(j)
+        for limit in (math.inf, *np.quantile(finite, [0.5, 0.05, 0.001]), 0.5 * finite.min()):
+            got = _variable_draw(s, np.random.default_rng(trial))(2000, limit)
+            assert got[:2] == (rows, ok), (trial, limit)
+            pbar = got[2]
+            exact = np.isfinite(pbar)
+            assert np.array_equal(pbar[exact], full[exact]), (trial, limit)
+            assert pbar.min() == full.min(), (trial, limit)
+            assert records_below(pbar, limit) == records_below(full, limit), (trial, limit)
+            i = int(np.argmin(pbar))
+            assert i == j and all(np.array_equal(a, b) for a, b in zip(got[3](i), best_table))
+            skipped += int(np.count_nonzero(~exact & np.isfinite(full)))
+            late += limit < finite.min()
+    assert skipped > 0 and late > 0
+
+
+def records_below(pbar, limit):
+    """Draws that lower the running minimum of pbar below limit."""
+    run = np.minimum.accumulate(np.minimum(pbar, limit))
+    return int(run[0] < limit) + int(np.count_nonzero(run[1:] < run[:-1]))
 
 
 def row_major_order_bounds(tail, lo, odds):
