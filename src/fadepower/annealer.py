@@ -19,12 +19,12 @@ rate R the power realising outage e is k/(-ln(1 - e)), k = (2^R - 1)N0/Omega,
 and losses are ordered worst state last (eps non-increasing, powers
 non-decreasing), which does not exclude the optimum.
 
-* eps_1..eps_N are drawn uniformly on [lo, cap], one of them on
-  [lo, min(eps_out, cap)], and sorted into non-increasing order, so
-  eps_N <= eps_out.  lo = max(DELTA, 1 - exp(-k/P_m))
-  is the peak cap expressed as an outage floor; cap = min(1 - DELTA,
-  gamma/(1 - gamma)) is the largest value eps_0 can take, so with the
-  order it bounds every state.
+* The box: lo = max(DELTA, 1 - exp(-k/P_m)) is the peak cap expressed as
+  an outage floor; cap = min(1 - DELTA, gamma/(1 - gamma)) is the largest
+  value eps_0 can take, so with the order it bounds every state; and
+  last = min(eps_out, cap).  eps_1..eps_N are uniform on
+  [lo, cap)^(N-1) x [lo, last), cut by the order (below), and sorted into
+  non-increasing order, so eps_N <= eps_out.
 * The product form gives gamma_r = 1 - pi_0 = eps_0 W_1/(1 + eps_0 W_1),
   with W_1 = 1 + eps_1 + eps_1 eps_2 + ... + eps_1...eps_{N-1}/(1 - eps_N).
   C2 is therefore eps_0 <= gamma/((1 - gamma) W_1).
@@ -45,26 +45,43 @@ non-decreasing), which does not exclude the optimum.
 * eps_0 = lb + t*(ub - lb) with t ~ U(0, 1), ub = min(1 - DELTA,
   gamma/((1 - gamma) W_1)) and lb = max(lo, eps_1).  A draw with ub < lb
   violates only the power order and is the one rejection left.
-* Prefilter, N >= 2: most such rows are dropped before the sort, the N
-  log1p rows and the Horner pass.  m = eps_1, the largest outage of a row,
-  is one reduction over the unsorted state rows, and W_1 >= 1 + m, so a
-  row with odds/(1 + m) < max(m, lo), odds = gamma/(1 - gamma), has
-  ub < lb.  This holds in floating point: w >= 1 in Horner's last step
-  fl(fl(w*eps_1) + 1), so fl(W_1) >= fl(1 + eps_1), and a correctly
-  rounded division is monotone in its divisor.  The survivors are
-  gathered into the spent RNG block.  At gamma 0.2, eps_out 0.1 the
-  filter passes 82%, 67%, 37% and 17% of the rows at N = 2, 3, 6 and 10,
-  of which 81%, 65%, 33% and 13% are feasible.  A draw still returns one
-  power per drawn row, inf for a dropped row, and its table function
-  serves the feasible rows.  N = 1 has no sort to skip and no prefilter.
+* The order cut.  W_1 >= 1 + m for the largest outage m = eps_1 (at
+  N = 1, W_1 = 1/(1 - m)), so ub <= odds/(1 + m), odds = gamma/(1 - gamma),
+  while lb >= m: a row whose m lies above the root r = (sqrt(1 + 4 odds) -
+  1)/2 of odds/(1 + m) = m has ub < lb.  The rows at or below r form a
+  box, so the draw never generates the others.  Each row of the budget
+  takes one uniform from an accept stream spawned from the seed and is
+  kept when it lies below p = ((min(cap, r) - lo)/(cap - lo))^(N-1) *
+  (min(last, r) - lo)/(last - lo), the chance that a row of the full box
+  lies in the cut one.  Only a kept row reads its t and tail from the
+  table stream, uniform on [lo, min(cap, r))^(N-1) x [lo, min(last, r)):
+  the kept rows have the law of the full box given the cut, so the best
+  table and the feasible and improvement counts have the law of a draw
+  of the full box, in which every row past the cut is infeasible.  Both
+  streams are read in row order, so no result depends on the block size
+  (one binomial count of kept rows per block would make it depend).
+  When the cut does not bind (p = 1: N = 1 with eps_out <= r) the accept
+  stream is never read and every row is kept.  At gamma 0.2, eps_out 0.1
+  p is 0.82, 0.67, 0.37 and 0.17 at N = 2, 3, 6 and 10, and 81%, 65%,
+  33% and 13% of the budget is feasible.
+* The cut holds in floating point.  It is r rounded to the largest float
+  m with fl(odds/fl(1 + m)) >= m (_order_cut), and that test fails for
+  every larger float.  w >= 1 in Horner's last step fl(fl(w*eps_1) + 1),
+  so fl(W_1) >= fl(1 + eps_1) (at N = 1, 1/(1 - m) exceeds 1 + m by
+  m^2/(1 - m) >= DELTA^2, far above rounding), and a correctly rounded
+  division is monotone in its divisor: every row past the cut has
+  ub < lb as computed.
 * eps_0 is drawn, not pinned to ub: a binding loss budget is not optimal
   at small eps_out (pinned, N=1 at eps_out 0.02 costs 12.746 W against an
   optimum of 11.877 W).
-* An empty box, min(eps_out, cap) < lo, certifies infeasibility:
-  eps_N >= lo > eps_out breaks C3, or gamma_r >= min eps >= lo >
-  gamma/(1 - gamma) >= gamma breaks C2, or no outage fits the guard band.
-  solve_fixed reports the first case as an empty feasibility window
-  (ValueError) and the others as NoFeasibleSolution(0), before drawing.
+* Infeasibility is certified before drawing when min(eps_out, cap,
+  gamma) < lo: eps_N >= lo > eps_out breaks C3; the loss rate
+  gamma_r = sum_i pi_i eps_i is at least the smallest outage, so lo >
+  gamma breaks C2 for every table, ordered or not (this covers lo > r,
+  where p would be 0, since r > gamma); and lo > 1 - DELTA leaves
+  no outage in the guard band.  solve_fixed reports the first case as an
+  empty feasibility window (ValueError) and the others as
+  NoFeasibleSolution(0).
 
 Variable rate: outage vectors are drawn uniformly per state on
 (DELTA, u_i), u_N = min(eps_out, 1 - DELTA) and u_i = 1 - DELTA for i < N.
@@ -116,13 +133,15 @@ generalises closed_form.n1_variable_solution.
 
 Both solvers therefore search over the outage vector alone.
 
-Blocks: the search draws about 2^17 outage entries at a time (rows x
-states, at most 65536 rows), so the temporaries of a deep-N block stay in
-cache and N = 1 keeps its 65536-row blocks.  A temperature step wider than
-a block, and the t0 probe, are drawn in several blocks, which bounds the
-memory of a run for every outer_per_temp.  Each candidate reads one
-contiguous slice of the RNG stream, so the draws, and every result but
-`trace`, do not depend on how the budget is cut into blocks.
+Blocks: a block of the budget generates about 2^17 outage entries (rows
+generated x states, at most 65536 rows of the budget; the fixed-rate
+draw generates p of its rows), so the temporaries of a deep-N block stay
+in cache and N = 1 keeps its 65536-row blocks.  A temperature step wider
+than a block, and the t0 probe, are drawn in several blocks, which bounds
+the memory of a run for every outer_per_temp.  Each generated row reads
+one contiguous slice of the RNG stream, and the fixed-rate accept test one
+uniform per row of the budget, both in row order, so the draws, and every
+result but `trace`, do not depend on how the budget is cut into blocks.
 
 Buffers: the block-sized arrays of both draws are views of arrays that
 the solve keeps (a _Buffers) and the next draw overwrites, so a block
@@ -156,10 +175,11 @@ from .markov import steady_state_for
 from .policy import Policy, ProblemSpec, average_power, make_policy
 
 # Size of one vectorised draw: about _BLOCK_ELEMENTS outage entries
-# (rows x states, 1 MiB of float64, which keeps a block's temporaries in
-# cache), at most _BLOCK_ROWS rows.  Every draw reads one contiguous slice
-# of the RNG stream per row, so results do not depend on these sizes; they
-# bound the memory of a draw and set how many samples `trace` holds.
+# (rows generated x states, 1 MiB of float64, which keeps a block's
+# temporaries in cache), at most _BLOCK_ROWS rows of the budget.  Every
+# draw reads its streams in row order, so results do not depend on these
+# sizes; they bound the memory of a draw and set how many samples `trace`
+# holds.
 _BLOCK_ELEMENTS = 2**17
 _BLOCK_ROWS = 65536
 
@@ -238,16 +258,22 @@ class AnnealingSchedule:
 class SolveResult:
     """Outcome of one solver run: the minimum over its feasible draws.
 
-    evaluated_count counts every candidate outage vector drawn;
-    feasible_count those whose table is feasible (for the variable-rate
-    solver, those with a feasible rate allocation); accepted_count the
-    draws that lowered the running best, in draw order.  trace holds one
-    (temperature, block minimum, best) sample per block of temperature
-    steps: the last temperature of the block, the cheapest feasible draw of
-    the block (inf when it has none) and the best so far, which is
-    non-increasing.  Blocks hold about 2^17 outage entries, so a deeper N
-    gives more, smaller blocks and a longer trace; trace is the only
-    field that depends on the block size.
+    evaluated_count counts the rows of the draw budget, including the
+    fixed-rate rows that the order cut drops without generating them (each
+    of which would break the power order); feasible_count the rows whose
+    table is feasible (for the variable-rate solver, those with a feasible
+    rate allocation); accepted_count the draws that lowered the running
+    best, in draw order.  trace holds one (temperature, block minimum,
+    best) sample per block of temperature steps: the last temperature of
+    the block, the cheapest feasible draw of the block (inf when it has
+    none) and the best so far, which is non-increasing.  Blocks generate
+    about 2^17 outage entries, so the trace grows with N and, for the
+    fixed-rate solver, shrinks with the share of rows the cut keeps;
+    trace is the only field that depends on the block size.  The trace
+    holds each power as the draw computed it, best_avg_power the
+    re-evaluation of the best table by average_power: the two round the
+    same table differently, so trace[-1][2] and best_avg_power agree to
+    about 1e-15 relative, not bit for bit.
     """
 
     best_avg_power: float
@@ -420,32 +446,32 @@ def _sort_states(rows, pairs, spare):
     return rows[::-1]
 
 
-def _order_may_hold(keys, lo: float, odds: float, buf=None):
-    """Mask of the rows whose power order can hold, from unsorted state-major keys.
+def _order_cut(odds: float) -> float:
+    """The largest float m with fl(odds/fl(1 + m)) >= m: the root r of odds/(1 + m) = m, rounded up.
 
-    keys[j] holds one outage of every row, N >= 2 rows.  With m the largest
-    outage of a row, W_1 >= 1 + m, so ub <= odds/(1 + m) while lb =
-    max(m, lo): a row with odds/(1 + m) < max(m, lo) has ub < lb and is
-    dropped.  The bound holds in floating point (see the module
-    docstring).  With buf, the mask is its array "keep", and its rows "lb"
-    and "e0" are spent as scratch.
+    A fixed-rate row whose largest outage m exceeds it has ub < lb (see
+    the module docstring), so no draw needs a row past it.
     """
-    buf = _Buffers() if buf is None else buf
-    m = np.max(keys, axis=0, out=buf("lb", keys.shape[1]))
-    bound = np.add(m, 1.0, out=buf("e0", m.size))
-    np.divide(odds, bound, out=bound)
-    np.maximum(m, lo, out=m)
-    return np.greater_equal(bound, m, out=buf("keep", m.size, bool))
+    r = (math.sqrt(1.0 + 4.0 * odds) - 1.0) / 2.0
+    while odds / (1.0 + r) < r:
+        r = math.nextafter(r, 0.0)
+    while odds / (1.0 + (up := math.nextafter(r, math.inf))) >= up:
+        r = up
+    return r
 
 
-def _fixed_draw(spec: ProblemSpec, rng):
-    """Block draw of the fixed-rate problem; see the module docstring.
+def _fixed_draw(spec: ProblemSpec, seed: int):
+    """Block draw of the fixed-rate problem from one seed; see the module docstring.
 
-    draw(rows, limit) returns the exact power of every drawn row, inf for
-    the infeasible ones; it takes limit for the search's draw contract
-    and ignores it.  The powers and the table function a draw returns hold
-    until the next draw; table(j) serves the rows with a finite power.
-    Raises NoFeasibleSolution(0) when the draw box is empty.
+    draw(rows, limit) evaluates `rows` rows of the budget and returns the
+    exact power of each row it keeps, in draw order, inf for the
+    infeasible ones; it takes limit for the search's draw contract and
+    ignores it.  The powers and the table function a draw returns hold
+    until the next draw; table(j) serves the kept rows with a finite
+    power.  The tables come from np.random.default_rng(seed) and the
+    accept test from a stream spawned from the same seed; draw.entries is
+    the mean number of outage entries generated per row of the budget,
+    (N + 1)p.  Raises NoFeasibleSolution(0) when no table can be feasible.
     """
     ch = spec.channel
     n = spec.n_states
@@ -454,37 +480,42 @@ def _fixed_draw(spec: ProblemSpec, rng):
     odds = spec.gamma / (1.0 - spec.gamma)
     lo = max(DELTA, -math.expm1(-k_power / spec.peak_power))
     cap = min(1.0 - DELTA, odds)
-    if min(spec.eps_out, cap) < lo:
+    last = min(spec.eps_out, cap)
+    if min(last, spec.gamma) < lo:
         raise NoFeasibleSolution(0)
+    cut = _order_cut(odds)
 
+    def under_cut(top):
+        # the share of [lo, top) that lies at or below the cut
+        return 1.0 if top <= cut else (cut - lo) / (top - lo)
+
+    # P(a row of the box [lo, cap)^(N-1) x [lo, last) lies under the cut)
+    p_keep = under_cut(cap) ** (n - 1) * under_cut(last)
+    rng = np.random.default_rng(seed)
+    accept = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     pairs = _sorting_network(n)
     # The block-sized arrays of a draw are views of these arrays, which the
-    # next draw reuses: the RNG block ("rng", which takes the survivors of
-    # the prefilter once spent), the state-major candidates ("cand", N + 1
-    # rows, which take 1/y and the sort's spare row once spent), the rows
-    # w1, pbar, e0, lb and bad of the rows that reach the sort, and, when
-    # the prefilter runs, its mask ("keep") and the powers of every drawn
-    # row ("drawn").
+    # next draw reuses: the accept uniforms and their mask, the RNG block
+    # of the kept rows ("rng", which takes 1/y and the sort's spare row
+    # once spent), their state-major candidates ("cand"), and the rows w1,
+    # pbar, e0, lb and bad.
     buf = _Buffers()
 
     def draw(rows: int, limit: float | None = None):
-        # one row of the RNG stream per candidate: t, then eps_1..eps_N unsorted
-        u = rng.random(out=buf("rng", (rows, n + 1)))
+        s = rows
+        if p_keep < 1.0:
+            # one accept uniform per row of the budget
+            a = accept.random(out=buf("accept", rows))
+            s = int(np.count_nonzero(np.less(a, p_keep, out=buf("kept", rows, bool))))
+        # one row of the RNG stream per kept row: t, then eps_1..eps_N unsorted
+        u = rng.random(out=buf("rng", (s, n + 1)))
         # state-major: cand[0] holds t of every row and cand[j] eps_j
-        cand = buf("cand", (n + 1, rows))
+        cand = buf("cand", (n + 1, s))
         np.copyto(cand, u.T)
-        _spread(cand[1:].T, lo, cap, min(spec.eps_out, cap))
-        if n > 1:
-            # drop the rows whose power order must fail, then gather the
-            # rest into the spent RNG block
-            kept = np.flatnonzero(_order_may_hold(cand[1:], lo, odds, buf))
-            s = kept.size
-            cand = np.take(cand, kept, axis=1, out=buf("rng", (n + 1, s)), mode="clip")
-            spent = buf("cand", (n + 1, s))
-        else:
-            kept, s, spent = None, rows, buf("rng", (n + 1, rows))
+        _spread(cand[1:].T, lo, min(cap, cut), min(last, cut))
         # the tail state-major: tail[j] holds eps_{j+1} of every row, and
-        # eps is non-increasing in j; 1/y takes N rows of the spent block
+        # eps is non-increasing in j; 1/y takes N rows of the spent RNG block
+        spent = buf("rng", (n + 1, s))
         t, inv_y = cand[0], spent[:n]
         tail = _sort_states(cand[1:], pairs, spent[n])
         for e, y in zip(tail, inv_y):
@@ -516,19 +547,9 @@ def _fixed_draw(spec: ProblemSpec, rng):
         pbar /= w1
         pbar[bad] = np.inf
         feasible = s - int(np.count_nonzero(bad))
-        if kept is None:
-            return rows, feasible, pbar, lambda j: ((e0[j], *(e[j] for e in tail)), rates)
-        # one power per drawn row, inf for the rows the prefilter dropped
-        powers = buf("drawn", rows)
-        powers.fill(np.inf)
-        powers[kept] = pbar
+        return rows, feasible, pbar, lambda j: ((e0[j], *(e[j] for e in tail)), rates)
 
-        def table(j):
-            i = int(np.searchsorted(kept, j))
-            return (e0[i], *(e[i] for e in tail)), rates
-
-        return rows, feasible, powers, table
-
+    draw.entries = (n + 1) * p_keep
     return draw
 
 
@@ -777,9 +798,16 @@ def _search(schedule: AnnealingSchedule, draw, block: int):
     return best_table, improved, feasible, evaluated, tuple(trace)
 
 
-def _solve(spec: ProblemSpec, schedule: AnnealingSchedule, draw) -> SolveResult:
-    """Run the search and evaluate its best table."""
-    block = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // (spec.n_states + 1)))
+def _solve(spec: ProblemSpec, schedule: AnnealingSchedule, draw, entries: float) -> SolveResult:
+    """Run the search and evaluate its best table.
+
+    entries is the mean number of outage entries a draw generates per row
+    of the budget; blocks hold about _BLOCK_ELEMENTS of them.  At the
+    default sizes the row cap binds below 2 entries, so the floor of 1
+    changes no block; it keeps a fixed-rate p that underflows to 0 (N
+    past about 1500) from dividing by zero.
+    """
+    block = max(1, min(_BLOCK_ROWS, int(_BLOCK_ELEMENTS // max(entries, 1.0))))
     (eps, rates), improved, feasible, evaluated, trace = _search(
         _resolve_t0(schedule, draw, block), draw, block
     )
@@ -797,16 +825,20 @@ def _solve(spec: ProblemSpec, schedule: AnnealingSchedule, draw) -> SolveResult:
 def solve_fixed(spec: ProblemSpec, schedule: AnnealingSchedule) -> SolveResult:
     """Search the fixed-rate problem: constant rate, free outage vector.
 
-    Every table drawn meets the loss, burst and peak constraints (see the
-    module docstring).  Raises ValueError when the terminal-power window
-    P_out <= P_N <= P_m is empty (P_out the power whose outage at rate R
-    equals eps_out), and NoFeasibleSolution(0) when the draw box is.
+    Every table drawn meets the loss, burst and peak constraints, and the
+    rows of the budget whose outages would break the power order are
+    dropped without being generated (see the module docstring).  Raises
+    ValueError when the terminal-power window P_out <= P_N <= P_m is empty
+    (P_out the power whose outage at rate R equals eps_out), and
+    NoFeasibleSolution(0), before drawing, when the outage at peak power
+    lies above gamma (every loss rate is then above gamma) or leaves no
+    outage in the guard band.
     """
     p_out = power_for_outage(spec.eps_out, spec.avg_rate, spec.channel)
     if p_out > spec.peak_power * (1.0 + 1e-12):
         raise ValueError("feasibility window empty")
-    draw = _fixed_draw(spec, np.random.default_rng(schedule.seed))
-    return _solve(spec, schedule, draw)
+    draw = _fixed_draw(spec, schedule.seed)
+    return _solve(spec, schedule, draw, draw.entries)
 
 
 def solve_variable(spec: ProblemSpec, schedule: AnnealingSchedule) -> SolveResult:
@@ -819,7 +851,7 @@ def solve_variable(spec: ProblemSpec, schedule: AnnealingSchedule) -> SolveResul
     the per-state power cap (see the module docstring).
     """
     rng = np.random.default_rng(schedule.seed)
-    return _solve(spec, schedule, _variable_draw(spec, rng))
+    return _solve(spec, schedule, _variable_draw(spec, rng), spec.n_states + 1)
 
 
 def _step_count(schedule: AnnealingSchedule, t0: float):

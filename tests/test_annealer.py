@@ -12,7 +12,7 @@ from fadepower.annealer import (
     AnnealingSchedule,
     NoFeasibleSolution,
     _fixed_draw,
-    _order_may_hold,
+    _order_cut,
     _power_bound,
     _rate_caps,
     _sort_states,
@@ -150,6 +150,27 @@ def test_fixed_feasibility_window_empty():
         solve_fixed(spec1(eps_out=0.05, rate=3.0), LIGHT)
 
 
+@pytest.mark.parametrize("floor", [0.3, 0.27])
+def test_fixed_certifies_a_peak_floor_above_gamma(floor):
+    # P_m = -1/ln(1 - floor) puts the outage at peak power (k = 1 W) at
+    # floor, above gamma 0.26: 0.3 also lies above the root 0.2755 of
+    # odds/(1 + m) = m, 0.27 between the two.  gamma_r = sum_i pi_i eps_i
+    # >= floor > gamma, so no table meets C2 and nothing is drawn.
+    peak = -1.0 / math.log1p(-floor)
+    for n in (1, 3, 10):
+        s = spec1(eps_out=0.35, gamma=0.26, n=n, peak=peak)
+        with pytest.raises(NoFeasibleSolution) as exc:
+            solve_fixed(s, AnnealingSchedule(seed=1))
+        assert exc.value.evaluated_count == 0
+        # independently: random tables that meet PEAK and C3, ordered or not, break C2
+        rng = np.random.default_rng(n)
+        for _ in range(300):
+            eps = rng.uniform(floor, 1.0 - DELTA, size=n + 1)
+            eps[-1] = rng.uniform(floor, s.eps_out)
+            rep = evaluate_fixed(make_policy(eps, (s.avg_rate,) * (n + 1), CH), s)
+            assert rep.violated == ("C2",), (n, eps, rep.violated)
+
+
 def test_variable_output_is_feasible_and_consistent():
     s = spec1(eps_out=0.1)
     res = solve_variable(s, LIGHT)
@@ -201,6 +222,17 @@ def test_best_trace_monotone_and_cooling_bounded():
     assert all(x >= y for x, y in zip(bests, bests[1:]))
     assert min(temps) >= 0.05
     assert res.accepted_count <= res.feasible_count <= res.evaluated_count
+
+
+def test_trace_ends_at_the_best_power_to_rounding():
+    # the trace holds the draw's power of the best table, best_avg_power its
+    # re-evaluation by average_power: the same table, rounded another way
+    for solver in (solve_fixed, solve_variable):
+        for n in (1, 3, 10):
+            res = solver(spec1(eps_out=0.1, n=n), LIGHT)
+            assert res.trace[-1][2] == pytest.approx(res.best_avg_power, rel=1e-12, abs=0.0)
+    res = solve_variable(spec1(eps_out=0.1), AnnealingSchedule(t_min=0.05, seed=3))
+    assert res.trace[-1][2] == pytest.approx(res.best_avg_power, rel=1e-12, abs=0.0)
 
 
 def test_counts_and_trace_present_for_variable():
@@ -259,14 +291,14 @@ def test_fixed_draw_is_feasible_by_construction():
             with pytest.raises(ValueError, match="feasibility window empty"):
                 solve_fixed(s, LIGHT)
             continue
-        if floor > s.gamma / (1.0 - s.gamma):
-            # gamma_r >= min eps >= floor > gamma/(1 - gamma) > gamma
+        if floor > s.gamma:
+            # gamma_r = sum_i pi_i eps_i >= min eps >= floor > gamma
             with pytest.raises(NoFeasibleSolution) as exc:
                 solve_fixed(s, LIGHT)
             assert exc.value.evaluated_count == 0
             empty_box += 1
             continue
-        rows, ok, pbar, table = _fixed_draw(s, np.random.default_rng(trial))(200)
+        rows, ok, pbar, table = _fixed_draw(s, trial)(200)
         feasible = np.flatnonzero(np.isfinite(pbar))
         assert rows == 200 and ok == feasible.size
         for j in feasible:
@@ -417,22 +449,57 @@ def random_spec(rng, n_max=12):
     )
 
 
-def reference_fixed_draw(s, rng, rows):
-    """Fixed-rate powers by the direct cumprod/einsum formulas.
+def fixed_streams(seed):
+    """The fixed-rate draw's two streams: its tables, and its accept test."""
+    return np.random.default_rng(seed), np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
-    Reads the RNG stream as _fixed_draw does: per row the eps_0 fraction
-    t, then eps_1..eps_N unsorted (the last one under min(eps_out, cap)).
+
+def fixed_box(s):
+    """(k, odds, lo, hi, hi_last, p_keep) of the fixed-rate draw of spec s.
+
+    The tail is drawn on [lo, hi)^(N-1) x [lo, hi_last), the full box
+    [lo, cap)^(N-1) x [lo, min(eps_out, cap)) under the order cut, and a
+    row of the budget is kept with the probability p_keep that a row of
+    the full box lies in it.
     """
     ch, n = s.channel, s.n_states
     k_power = (2.0**s.avg_rate - 1.0) * ch.noise_power / ch.mean_fading_power
     odds = s.gamma / (1.0 - s.gamma)
     lo = max(DELTA, -math.expm1(-k_power / s.peak_power))
-    highs = np.full(n, min(1.0 - DELTA, odds))
-    highs[-1] = min(s.eps_out, highs[-1])
-    u = rng.random((rows, n + 1))
+    cap = min(1.0 - DELTA, odds)
+    last = min(s.eps_out, cap)
+    cut = _order_cut(odds)
+    hi, hi_last = min(cap, cut), min(last, cut)
+    p_keep = ((hi - lo) / (cap - lo)) ** (n - 1) * ((hi_last - lo) / (last - lo))
+    return k_power, odds, lo, hi, hi_last, p_keep
+
+
+def kept_uniforms(streams, rows, n, p_keep):
+    """The RNG rows of the kept rows among `rows` rows of the budget.
+
+    A row is kept when its accept uniform lies below p_keep; at p_keep 1
+    the accept stream is not read.  Each kept row reads t, then
+    eps_1..eps_N unsorted, from the table stream.
+    """
+    tables, accept = streams
+    kept = rows if p_keep == 1.0 else int(np.count_nonzero(accept.random(rows) < p_keep))
+    return tables.random((kept, n + 1))
+
+
+def reference_fixed_draw(s, streams, rows):
+    """Fixed-rate powers of the kept rows by the direct cumprod/einsum formulas.
+
+    Reads both streams as _fixed_draw does (kept_uniforms).
+    """
+    n = s.n_states
+    k_power, odds, lo, hi, hi_last, p_keep = fixed_box(s)
+    highs = np.full(n, hi)
+    highs[-1] = hi_last
+    u = kept_uniforms(streams, rows, n, p_keep)
+    kept = u.shape[0]
     t = u[:, 0]
     tail = np.sort(lo + u[:, 1:] * (highs - lo), axis=1)[:, ::-1]
-    w = np.ones((rows, n))
+    w = np.ones((kept, n))
     w[:, 1:] = np.cumprod(tail[:, :-1], axis=1)
     w[:, -1] /= 1.0 - tail[:, -1]
     w1 = w.sum(axis=1)
@@ -477,11 +544,11 @@ def test_draws_match_the_direct_formulas():
         assert np.array_equal(pbar, ref), trial
         assert all(np.array_equal(table(j)[0], e[j]) for j in range(e.shape[0]))
         try:
-            draw = _fixed_draw(s, np.random.default_rng(trial))
+            draw = _fixed_draw(s, trial)
         except NoFeasibleSolution:
             continue
         rows, ok, pbar, table = draw(300)
-        ref, e0, tail = reference_fixed_draw(s, np.random.default_rng(trial), 300)
+        ref, e0, tail = reference_fixed_draw(s, fixed_streams(trial), 300)
         finite = np.isfinite(ref)
         assert rows == 300 and ok == np.count_nonzero(finite)
         assert np.array_equal(np.isfinite(pbar), finite), trial
@@ -611,44 +678,45 @@ def test_variable_results_are_pinned(n, seed):
 # solve_fixed at gamma 0.2, eps_out 0.1, R 1, P_m 100 W, schedule
 # AnnealingSchedule(t_min=0.05, seed=seed): (power, eps, accepted, feasible,
 # evaluated, trace length).  N = 25 pins a deeper sorting network than the
-# benchmark's N <= 10.
+# benchmark's N <= 10.  At N = 1, eps_out 0.1 lies below the order cut, so
+# those draws keep every row and never read the accept stream.
 FIXED_GOLDEN = {
     (1, 3): (5.041405202691562, (0.224994992930875, 0.0997629985937271), 13, 203800, 203800, 4),
     (1, 11): (5.0428588666729315, (0.22496170101165908, 0.09970772968827388), 10, 203600, 203600, 4),
-    (3, 3): (4.500607572123446,
-             (0.20117468802080626, 0.20106991726680615, 0.18544353841121697, 0.09876516030579027),
-             10, 117533, 180800, 6),
-    (3, 11): (4.501256475116426,
-              (0.20181400315292294, 0.19699393435458415, 0.18954243405086632, 0.09812829645651347),
-              11, 117179, 180400, 6),
-    (10, 3): (4.481894613762144,
-              (0.20032063753695972, 0.1996380227093858, 0.19815875701566138, 0.18351987789007854,
-               0.18133612970707866, 0.1515967410720981, 0.11645382578529034, 0.067052888566898,
-               0.049750568932076134, 0.027610857686324757, 0.02120384681890205),
-              9, 22922, 179200, 16),
-    (10, 11): (4.481740359056607,
-               (0.2002147126940078, 0.20013669801942457, 0.19616771659543752, 0.19371417008077066,
-                0.18276577578277822, 0.17101060748461314, 0.09797470919289562, 0.06323510341762503,
-                0.04894904445563963, 0.04506736781945208, 0.03957120080520804),
-               7, 22772, 179200, 16),
-    (25, 3): (4.481549689162586,
-              (0.2001030121798578, 0.20010199756202046, 0.19904862391572134, 0.19283138545634734,
-               0.18762075027496886, 0.1711265687525634, 0.16910954613891446, 0.1636060635067941,
-               0.14973653894003758, 0.13342501336751567, 0.13146717249663203, 0.12938302737795385,
-               0.12865133141704477, 0.1089241551374954, 0.10040114460972575, 0.09988638386692728,
-               0.09417297691521231, 0.08820138298370173, 0.07860516515808727, 0.07340205668776911,
-               0.05645774727384168, 0.05637219452592521, 0.03897763314243888, 0.03472915726688526,
-               0.01910141352632116, 0.011727093199731363),
-              8, 677, 179800, 36),
-    (25, 11): (4.481793687714672,
-               (0.20013117540749456, 0.19992289807573974, 0.19788114729845155, 0.19652028071673278,
-                0.19194684006435878, 0.18295150124859674, 0.1755321996849056, 0.1716254521240112,
-                0.16736971713688617, 0.1610756968359158, 0.15314632511604864, 0.11684873324737094,
-                0.11031519071790807, 0.10795034331595403, 0.1044193332755106, 0.10357150995374838,
-                0.0868049752416879, 0.08624433960227966, 0.08521616280761204, 0.08510098662763547,
-                0.08287850259679366, 0.06056695567109709, 0.042197982326914976, 0.03295908392205884,
-                0.02455428583566801, 0.01252519889216079),
-               6, 669, 179200, 36),
+    (3, 3): (4.500429920414073,
+             (0.20138821331910545, 0.20104108865222836, 0.17984065986500805, 0.09960727161568624),
+             18, 117224, 180600, 4),
+    (3, 11): (4.5006853106527025,
+              (0.20099694778976712, 0.2003331206617749, 0.19557334801321677, 0.09734612045373939),
+              14, 117463, 180200, 4),
+    (10, 3): (4.4816008028344925,
+              (0.20010525176414012, 0.1999185265085516, 0.1992433820891359, 0.19559507473596274,
+               0.19465372925380764, 0.15917790350560992, 0.12237523122212951, 0.10449408789788937,
+               0.06435133697738045, 0.04133287635940381, 0.016446573835816762),
+              8, 22900, 179200, 3),
+    (10, 11): (4.481979309799904,
+               (0.2001143794466437, 0.20003659118717307, 0.19783114725611883, 0.1968685505819748,
+                0.1929525609731233, 0.15057735002582315, 0.14008738053994502, 0.0977955534499684,
+                0.08229496583822847, 0.04360092079128587, 0.03295152232548489),
+               14, 22963, 179200, 3),
+    (25, 3): (4.48168118582172,
+              (0.20006217132929477, 0.20005647250851463, 0.19955741838378055, 0.19494524106302968,
+               0.18764999614862332, 0.18762299291127188, 0.16536696982082946, 0.1574127472651299,
+               0.1374231440365877, 0.13565682418005579, 0.13252066938679644, 0.12327178465530957,
+               0.12176120106954008, 0.11786770591842437, 0.11753920187444951, 0.0954288248561418,
+               0.09494939845830314, 0.08299972767182955, 0.08122373131780808, 0.0780247008840274,
+               0.07664779152645966, 0.059141450590660324, 0.05088328685399582, 0.021334164444155174,
+               0.020700311408973323, 0.017806557185251752),
+              10, 689, 179200, 3),
+    (25, 11): (4.481566518941047,
+               (0.20006862867352862, 0.200026768043318, 0.19913378080260782, 0.19648360768611609,
+                0.19139933770287518, 0.19057037912683483, 0.1896344091765352, 0.1832036329093837,
+                0.18280681242099062, 0.16775482843530004, 0.15749058904834057, 0.15696982203327256,
+                0.14586621730030272, 0.11985928820698684, 0.10975017216700023, 0.10532901578225166,
+                0.08439196189311955, 0.05384264419108846, 0.05198175780596836, 0.045635749004744784,
+                0.03787998191129341, 0.032770091535507154, 0.02485396901138825, 0.02334522026484203,
+                0.010936845827129178, 0.010467369627665167),
+               8, 684, 179200, 3),
 }
 
 
@@ -681,20 +749,18 @@ def test_sorting_network_gives_the_np_sort_values():
         assert np.array_equal(got, want), n
 
 
-def row_major_fixed_draw(s, rng, rows):
-    """Fixed-rate powers and tables by the row-major kernel.
+def row_major_fixed_draw(s, streams, rows):
+    """Fixed-rate powers and tables of the kept rows by the row-major kernel.
 
-    np.sort on each row and the Horner sums over strided columns, in the
-    same arithmetic order as _fixed_draw, so the results must be equal.
+    Reads both streams as _fixed_draw does (kept_uniforms); np.sort on
+    each row and the Horner sums over strided columns, in the same
+    arithmetic order as _fixed_draw, so the results must be equal.
     """
-    ch, n = s.channel, s.n_states
-    k_power = (2.0**s.avg_rate - 1.0) * ch.noise_power / ch.mean_fading_power
-    odds = s.gamma / (1.0 - s.gamma)
-    lo = max(DELTA, -math.expm1(-k_power / s.peak_power))
-    cap = min(1.0 - DELTA, odds)
-    u = rng.random((rows, n + 1))
+    n = s.n_states
+    k_power, odds, lo, hi, hi_last, p_keep = fixed_box(s)
+    u = kept_uniforms(streams, rows, n, p_keep)
     t = u[:, 0].copy()
-    _spread(u, lo, cap, min(s.eps_out, cap))
+    _spread(u, lo, hi, hi_last)
     tail = np.sort(u[:, 1:], axis=1)
     inv_y = -1.0 / np.log1p(-tail)
     tail, inv_y = tail[:, ::-1], inv_y[:, ::-1]
@@ -713,21 +779,29 @@ def row_major_fixed_draw(s, rng, rows):
 
 def test_fixed_draw_equals_the_row_major_kernel():
     rng = np.random.default_rng(78)
+    compared = cut = 0
     for trial in range(40):
         s = random_spec(rng, n_max=30)
+        if trial % 5 == 0:
+            # eps_out below the order cut: at N = 1 every row is kept
+            s = replace(s, n_states=1, eps_out=s.gamma)
         try:
-            draw = _fixed_draw(s, np.random.default_rng(trial))
+            draw = _fixed_draw(s, trial)
         except NoFeasibleSolution:
             continue
-        ref_rng = np.random.default_rng(trial)
+        streams = fixed_streams(trial)
+        compared += 1
+        cut += fixed_box(s)[-1] < 1.0
         # the draw reuses its buffers: they grow, then a smaller block reuses them
         for rows in (1, 257, 100):
             _, ok, pbar, table = draw(rows)
-            ref, eps = row_major_fixed_draw(s, ref_rng, rows)
+            ref, eps = row_major_fixed_draw(s, streams, rows)
             assert np.array_equal(pbar, ref), trial
             assert ok == np.count_nonzero(np.isfinite(ref))
             # table(j) is defined for the feasible rows, which _search asks for
             assert all(np.array_equal(table(j)[0], eps[j]) for j in np.flatnonzero(np.isfinite(ref)))
+    # both sides of the accept test: rows cut, and p_keep 1
+    assert 0 < cut < compared
 
 
 def gather_water_fill(coef, pi, spec):
@@ -882,33 +956,26 @@ def row_major_order_bounds(tail, lo, odds):
     return np.minimum(odds / w1, 1.0 - DELTA), np.maximum(tail[:, 0], lo)
 
 
-def wrongly_dropped(may_hold, keys, lo, odds):
-    """Rows of state-major keys that may_hold drops although their ub >= lb."""
-    keep = may_hold(keys, lo, odds)
+def wrongly_cut(cut, keys, lo, odds):
+    """Rows of state-major keys whose largest outage lies above cut although their ub >= lb."""
     ub, lb = row_major_order_bounds(np.sort(keys.T, axis=1)[:, ::-1], lo, odds)
-    return int(np.count_nonzero(~keep & (ub >= lb)))
+    return int(np.count_nonzero((keys.max(axis=0) > cut) & (ub >= lb)))
 
 
-def square_bound(keys, lo, odds):
-    # W_1 >= 1 + m + m*m is not a bound: W_1 is 1 + m(1 + eps_2 + ...)
-    m = keys.max(axis=0)
-    return odds / (1.0 + m + m * m) >= np.maximum(m, lo)
-
-
-def ulp_bound(keys, lo, odds):
-    # one ulp above 1 + m: W_1 equals 1 + m when the other outages vanish
-    m = keys.max(axis=0)
-    return odds / np.nextafter(1.0 + m, 2.0) >= np.maximum(m, lo)
+def square_cut(odds):
+    # the root of odds/(1 + m + m*m) = m: W_1 >= 1 + m + m*m is not a bound,
+    # W_1 is 1 + m(1 + eps_2 + ...)
+    return float(max(r.real for r in np.roots([1.0, 1.0, 1.0, -odds]) if abs(r.imag) < 1e-12))
 
 
 def order_edge_rows(rng, n):
-    """State-major tails and their (lo, odds) at the edges of the prefilter.
+    """State-major tails and their (lo, odds) at the edge of the order cut.
 
     eps_1 = m steps by single ulps across the root of odds/(1 + m) = m.
     The other outages are 0 (then W_1 = 1 + m exactly), the smallest
     float, lo, m itself (ties), random values below m, or eps_N at
-    min(eps_out, cap); gamma runs up to 0.5 (odds 1), and lo from 0 to
-    just past the root.
+    min(eps_out, cap); at N = 1 a row is m alone.  gamma runs up to 0.5
+    (odds 1), and lo from 0 to just past the root.
     """
     for gamma in (0.05, 0.2, 0.35, 0.45, 0.5 - 1e-9, 0.5):
         odds = gamma / (1.0 - gamma)
@@ -917,6 +984,9 @@ def order_edge_rows(rng, n):
         m = root + np.arange(-16, 17) * np.spacing(root)
         for lo in (0.0, DELTA, float(m[10]), float(m[-1])):
             m_lo = np.maximum(m, lo)
+            if n == 1:
+                yield m_lo[None], lo, odds
+                continue
             spread = rng.uniform(size=(n - 1, m.size)) * m_lo
             last_at_eps_out = spread.copy()
             last_at_eps_out[-1] = min(float(rng.uniform(DELTA, 1.0)), cap)
@@ -939,19 +1009,93 @@ def random_order_rows(rng, n, rows=400):
     return np.ascontiguousarray(keys.T), lo, odds
 
 
-def test_prefilter_drops_only_rows_that_break_the_power_order():
+def test_order_cut_drops_only_rows_that_break_the_power_order():
     rng = np.random.default_rng(80)
-    checked = dropped = 0
-    for n in range(2, 31):
+    checked = cut_off = 0
+    for n in range(1, 31):
         cases = list(order_edge_rows(rng, n)) + [random_order_rows(rng, n) for _ in range(4)]
         for keys, lo, odds in cases:
-            assert wrongly_dropped(_order_may_hold, keys, lo, odds) == 0, (n, lo, odds)
+            cut = _order_cut(odds)
+            assert wrongly_cut(cut, keys, lo, odds) == 0, (n, lo, odds)
             checked += keys.shape[1]
-            dropped += int(np.count_nonzero(~_order_may_hold(keys, lo, odds)))
-    assert 0 < dropped < checked
-    # the test catches bounds tighter than W_1 >= 1 + eps_1: a square term
-    # on random rows, a single ulp on the rows at the edge
+            cut_off += int(np.count_nonzero(keys.max(axis=0) > cut))
+    assert 0 < cut_off < checked
+    # the test catches cuts below the root of odds/(1 + m) = m: the root of
+    # odds/(1 + m + m*m) = m on random rows, one ulp less on the rows at the edge
     random_rows = [random_order_rows(rng, n) for n in range(2, 31) for _ in range(4)]
-    assert sum(wrongly_dropped(square_bound, *case) for case in random_rows) > 0
+    assert sum(wrongly_cut(square_cut(odds), keys, lo, odds) for keys, lo, odds in random_rows) > 0
     edge_rows = list(order_edge_rows(rng, 3))
-    assert sum(wrongly_dropped(ulp_bound, *case) for case in edge_rows) > 0
+    assert sum(wrongly_cut(math.nextafter(_order_cut(odds), 0.0), keys, lo, odds)
+               for keys, lo, odds in edge_rows) > 0
+
+
+def full_box_feasible(s, rng, rows, block=65536):
+    """Feasible rows among `rows` fixed-rate draws from the full box, row-major.
+
+    The tails are drawn on [lo, cap)^(N-1) x [lo, min(eps_out, cap)) with
+    no order cut, sorted by np.sort, and a row is feasible when ub >= lb.
+    """
+    n = s.n_states
+    k_power = (2.0**s.avg_rate - 1.0) * s.channel.noise_power / s.channel.mean_fading_power
+    odds = s.gamma / (1.0 - s.gamma)
+    lo = max(DELTA, -math.expm1(-k_power / s.peak_power))
+    highs = np.full(n, min(1.0 - DELTA, odds))
+    highs[-1] = min(s.eps_out, highs[-1])
+    feasible = 0
+    for start in range(0, rows, block):
+        keys = lo + rng.random((min(block, rows - start), n)) * (highs - lo)
+        ub, lb = row_major_order_bounds(np.sort(keys, axis=1)[:, ::-1], lo, odds)
+        feasible += int(np.count_nonzero(ub >= lb))
+    return feasible
+
+
+@pytest.mark.parametrize("n, eps_out", [(1, 0.3), (3, 0.1), (6, 0.1), (10, 0.1)])
+def test_order_cut_keeps_the_feasible_share_of_the_full_box(n, eps_out):
+    # the cut draws only rows that can be feasible, each row of the budget
+    # being kept with the probability that a full-box row lies under the
+    # cut: the feasible share of the budget is that of the full box
+    s = spec1(eps_out=eps_out, n=n)
+    rows = 2**20
+    draw = _fixed_draw(s, 5)
+    got = sum(draw(65536)[1] for _ in range(rows // 65536))
+    want = full_box_feasible(s, np.random.default_rng(6), rows)
+    share = (got + want) / (2.0 * rows)
+    sigma = math.sqrt(share * (1.0 - share) * 2.0 / rows)
+    assert 0.1 < share < 0.9
+    assert abs(got - want) / rows < 5.0 * sigma, (got, want)
+
+
+def test_order_cut_is_the_largest_outage_the_float_order_test_keeps():
+    # fl(odds/fl(1 + m)) >= m holds at the cut and fails one ulp above it
+    for gamma in np.linspace(1e-6, 1.0 - 1e-6, 2001):
+        odds = float(gamma / (1.0 - gamma))
+        cut = _order_cut(odds)
+        up = math.nextafter(cut, math.inf)
+        assert odds / (1.0 + cut) >= cut and odds / (1.0 + up) < up, gamma
+        assert cut * (1.0 + cut) == pytest.approx(odds, rel=1e-15)
+
+
+@pytest.mark.parametrize("a", [0.25, 8.0])
+def test_scaling_noise_and_peak_power_scales_the_power(a):
+    # N0 -> a N0 and P_m -> a P_m with r_max fixed scale every power by a
+    # and move no outage.  a is a power of two, so the fixed-rate arithmetic
+    # scales exactly; the water-filling shifts log2 c_i by log2 a, which
+    # rounds, so variable-rate rates and powers agree to rounding only.  t0
+    # is explicit because the automatic one scales the budget with the power.
+    schedule = AnnealingSchedule(t0=5.0, t_min=0.5, outer_per_temp=300, seed=4)
+    for n in (1, 3, 10):
+        base = spec1(eps_out=0.1, n=n)
+        scaled = replace(base, peak_power=a * base.peak_power,
+                         channel=replace(CH, noise_power=a * CH.noise_power))
+        for solver in (solve_fixed, solve_variable):
+            x, y = solver(base, schedule), solver(scaled, schedule)
+            case = (n, solver.__name__)
+            assert y.best_policy.eps == x.best_policy.eps, case
+            assert (y.accepted_count, y.feasible_count, y.evaluated_count) == (
+                x.accepted_count, x.feasible_count, x.evaluated_count), case
+            if solver is solve_fixed:
+                assert y.best_policy.rates == x.best_policy.rates, case
+                assert y.best_avg_power == a * x.best_avg_power, case
+            else:
+                np.testing.assert_allclose(y.best_policy.rates, x.best_policy.rates, rtol=1e-12)
+                assert y.best_avg_power == pytest.approx(a * x.best_avg_power, rel=1e-12, abs=0.0)

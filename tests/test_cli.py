@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -121,6 +122,17 @@ def test_solve_no_feasible_candidates_exit_two(tmp_path, capsys):
     )
     assert main(["solve", "variable", spec]) == 2
     assert "no feasible solution" in capsys.readouterr().err
+
+
+def test_solve_certified_infeasible_exit_two(tmp_path, capsys):
+    # the outage at peak power, 0.3, lies above gamma: every loss rate is at
+    # least 0.3, so the solver reports no solution without drawing
+    spec = write(
+        tmp_path / "spec.txt",
+        f"gamma = 0.26\nn = 3\neps_out = 0.35\nrate = 1\npeak_power_w = {-1.0 / math.log(0.7)!r}\n",
+    )
+    assert main(["solve", "fixed", spec]) == 2
+    assert "after 0 candidate evaluations" in capsys.readouterr().err
 
 
 def test_closed_form_reference_values(tmp_path):
