@@ -1,18 +1,20 @@
-"""Budgeted random-search solvers for the two policy problems.
+"""Solvers for the two policy problems.
 
-Both solvers draw candidate tables in blocks and return the cheapest
-feasible one.  The number of draws follows a fast-annealing cooling
-schedule T_b = T0/(c_sa*b + 1): one step per temperature from T0 down to
-t_min, `outer_per_temp` candidate tables per step.
+The fixed-rate solver draws candidate tables in blocks and returns the
+cheapest feasible one.  The number of draws follows a fast-annealing
+cooling schedule T_b = T0/(c_sa*b + 1): one step per temperature from T0
+down to t_min, `outer_per_temp` candidate tables per step.
 
 There is no Metropolis walk.  Candidates are drawn independently of the
 chain's current point, and a candidate no worse than the best seen always
 passes the Metropolis test, so the best table an annealing walk over
 these proposals reports is exactly the minimum over the feasible draws.
-One search loop therefore reduces each block of draws with a vectorised
+The search loop therefore reduces each block of draws with a vectorised
 argmin; the schedule only sets the budget.  `temperature` and
 `metropolis_accept` remain the public definitions of that schedule and of
-the acceptance test.
+the acceptance test.  The variable-rate solver searches a structured
+family of tables, uniform exploration rows and a coordinate polish
+instead (below).
 
 Fixed rate: every table drawn meets C2, C3 and PEAK by construction.  At
 rate R the power realising outage e is k/(-ln(1 - e)), k = (2^R - 1)N0/Omega,
@@ -34,10 +36,7 @@ non-decreasing), which does not exclude the optimum.
   (Batcher's odd-even merge sort, built once per solve) sorts the rows:
   each exchange is one np.minimum and one np.maximum over two rows, which
   gives exactly the values np.sort gives.  The network grows as
-  N log^2 N exchanges of two numpy calls each: on a 2-core x86 host a
-  whole draw is faster than the row-major draw with np.sort per row that
-  it replaced up to N = 50, costs the same at N = 60 and 1.3x as much at
-  N = 100.
+  N log^2 N exchanges of two numpy calls each.
 * W_1 and the tail's power sum_j w_j/(-ln(1 - eps_j)) (w_j the terms of
   W_1) come from one fused backward Horner pass over the state rows,
   W_1 = 1 + eps_1(1 + eps_2(... + eps_{N-1}/(1 - eps_N))), with no
@@ -61,9 +60,7 @@ non-decreasing), which does not exclude the optimum.
   streams are read in row order, so no result depends on the block size
   (one binomial count of kept rows per block would make it depend).
   When the cut does not bind (p = 1: N = 1 with eps_out <= r) the accept
-  stream is never read and every row is kept.  At gamma 0.2, eps_out 0.1
-  p is 0.82, 0.67, 0.37 and 0.17 at N = 2, 3, 6 and 10, and 81%, 65%,
-  33% and 13% of the budget is feasible.
+  stream is never read and every row is kept.
 * The cut holds in floating point.  It is r rounded to the largest float
   m with fl(odds/fl(1 + m)) >= m (_order_cut), and that test fails for
   every larger float.  w >= 1 in Horner's last step fl(fl(w*eps_1) + 1),
@@ -83,80 +80,77 @@ non-decreasing), which does not exclude the optimum.
   empty feasibility window (ValueError) and the others as
   NoFeasibleSolution(0).
 
-Variable rate: outage vectors are drawn uniformly per state on
-(DELTA, u_i), u_N = min(eps_out, 1 - DELTA) and u_i = 1 - DELTA for i < N.
-C2 is tested first, as eps_0 W_1 <= gamma/(1 - gamma) with the same
-Horner W_1, and only the rows that pass get pi and their rates, by
-water-filling.  With eps fixed, pi and c_i = N0/(-ln(1 - eps_i) Omega)
-are fixed, and what is left,
-min sum pi_i c_i (2^r_i - 1) s.t. sum pi_i r_i >= R and
-r_min <= r_i <= rcap_i = min(r_max, log2(1 + P_m/c_i)), is convex.  Its
-KKT solution is r_i = clip(x - log2 c_i, r_min, rcap_i) for one water
-level x (Cover & Thomas, Elements of Information Theory, 9.4), which
-generalises closed_form.n1_variable_solution.
+Blocks: a block of the budget generates about 2^17 outage entries (rows
+generated x states, at most 65536 rows of the budget; the draw generates
+p of its rows), so the temporaries of a deep-N block stay in cache and
+N = 1 keeps its 65536-row blocks.  A temperature step wider than a block,
+and the t0 probe, are drawn in several blocks, which bounds the memory of
+a run for every outer_per_temp.  Each generated row reads one contiguous
+slice of the RNG stream, and the accept test one uniform per row of the
+budget, both in row order, so the draws, and every result but `trace`,
+do not depend on how the budget is cut into blocks.
 
-* A row is infeasible when r_min > rcap_i for some state (PEAK) or when
-  sum pi_i rcap_i < R (C1).
+Buffers: the block-sized arrays of the draw are views of arrays that the
+solve keeps (a _Buffers) and the next draw overwrites, so a block costs no
+fresh pages of memory; only _spread's copy of the last column allocates.
+
+Variable rate: the search runs over the outage vector alone.  With eps
+fixed, pi and c_i = N0/(-ln(1 - eps_i) Omega) are fixed, and what is left,
+min sum pi_i c_i (2^r_i - 1) s.t. sum pi_i r_i >= R and r_min <= r_i <=
+rcap_i = min(r_max, log2(1 + P_m/c_i)), is convex (infeasible when some
+rcap_i < r_min, PEAK, or sum pi_i rcap_i < R, C1).  Its KKT solution is
+r_i = clip(x - log2 c_i, r_min, rcap_i) for one water level x (Cover &
+Thomas, Elements of Information Theory, 9.4), which generalises
+closed_form.n1_variable_solution.
+
 * f(x) = sum pi_i clip(x - log2 c_i, r_min, rcap_i) is piecewise linear
   and non-decreasing, with kinks at the 2(N+1) points r_min + log2 c_i and
   rcap_i + log2 c_i.  Its values at the sorted kinks follow from the
   slope on each segment (a cumulative sum of +pi_i at a lower kink and
   -pi_i at an upper one); x is found exactly on the segment where f
-  crosses R, with no tolerance loop.  One argsort along the rows sorts
-  the kinks of a block, and flat-index takes gather from it.
-* When sum pi_i r_min >= R already, x is the lowest kink and every rate
-  is r_min.
-* Bound before water-filling.  The search needs only the minimum, and
-  most survivors cannot beat the best table already found.  By weighted
-  AM-GM, sum pi_i c_i 2^r_i >= 2^(sum pi_i r_i) prod c_i^pi_i, so every
-  allocation with sum pi_i r_i >= R costs at least
-  L = 2^(R + sum pi_i log2 c_i) - sum pi_i c_i, with equality when no
-  rate is clipped.  A draw given a limit (the search passes its running
-  best) computes every survivor's feasibility (_rate_caps, the first half
-  of the water-filling) and L, and water-fills only the feasible rows
-  whose L, less a margin of 1e-12 times the sum of L's two terms, lies
-  below a threshold: the limit, or the cheapest exact power of the
-  block's earlier slices if lower.  The margin covers the rounding of L
-  and of the power: where the two are equal in exact arithmetic, their
-  computed gap stayed within 11 ulps of those terms for N <= 30, against
-  about 4500 ulps of margin.  Every other survivor reads inf.  A row that
-  lowers the running minimum of its block below the limit costs less than
-  the threshold of its slice, so it is always water-filled: the best
-  table, its power and the improvement, feasible and evaluated counts do
-  not depend on the bound.
-* The exact block minimum.  `trace` records the minimum of every block,
-  so when a block lowers nothing, the skipped feasible rows whose bound
-  lies below the cheapest exact power are water-filled after its last
-  slice.  At gamma 0.2, eps_out 0.1 a solve water-fills about 20% of the
-  C2 survivors at N = 1 and 8% at N = 3, plus 0.02% and 0.5-1.2% for the
-  block minima.
+  crosses R (at the lowest kink when sum pi_i r_min >= R), with no
+  tolerance loop.  One argsort along the rows sorts the kinks of a batch,
+  and flat-index takes gather from it.
+* Coordinates.  A row u in [0, 1]^(N+1) is a table: eps_j = lo +
+  u_j (hi_j - lo) for j >= 1 and eps_0 = lo + u_0 (ub - lo), with
+  hi_N = min(eps_out, 1 - DELTA), hi_j = 1 - DELTA below N, ub =
+  min(1 - DELTA, odds/W_1) (W_1 as in the fixed-rate draw) and lo =
+  max(DELTA, 1 - exp(-(2^r_min - 1) N0/(Omega P_m))), the outage below
+  which no state meets PEAK.  C2 and C3 hold by construction; a row with
+  ub < lo reads infeasible.  The search works in units of N0/Omega, so
+  scaling N0 and P_m by one power of two scales every power and moves
+  nothing else.
+* The family: eps_1..eps_{k-1} = 1 - DELTA ("sacrificial bursts", where
+  c_i is smallest: C1 counts the transmitted rate), eps_k..eps_N one tail
+  outage and eps_0 on its loss budget (u_0 = 1).  The tail outage runs
+  over a log grid of 257 points on (lo, hi_N] at every depth k = 1..N,
+  then 4 times over 257 points between the neighbours of the best point,
+  at its depth.  States that repeat eps_N act as its self-loop, so the
+  family of N holds that of every smaller N.
+* Exploration: rows uniform in the polish's coordinates z, from
+  np.random.default_rng(seed): 4096 in the first round and twice as many
+  in each later one, at most 4 rounds.
+* Polish: a coordinate pattern search in z, u_j = s(z_j) with s the
+  logistic function rescaled to map [-12, 12] onto [0, 1], and z clipped
+  there.  Its starts are the family's best table (first round only) and
+  the round's 6 cheapest exploration rows.  Each iteration evaluates every
+  single-coordinate move z_d + h*o, o in linspace(-1, 1, 8), of every
+  live start as one batch.  A start takes its best move when that lowers
+  its power by more than 1e-9 relative and divides its step h by 4
+  otherwise, from h = 4 until h < 1e-4; a start that fails a move while
+  1% above the cheapest start stops.
+* Rounds: a round after the first runs only while nothing feasible has
+  been found or the round before lowered the best (its exploration
+  starts ended below every table known before them, the polished family
+  in the first round).  No batch starts after 2^22 rows, which bounds the
+  run time of a solve for every input.
+* Certificates: NoFeasibleSolution(0) is raised before searching when
+  eps_out <= DELTA, or when no table evaluate_variable accepts (at its
+  1e-9 slack) exists: when R > r_max, and when c_N (2^r_min - 1) > P_m
+  with c_N at eps_N = min(eps_out, 1 - DELTA), the least power state N
+  can use.
 
-Both solvers therefore search over the outage vector alone.
-
-Blocks: a block of the budget generates about 2^17 outage entries (rows
-generated x states, at most 65536 rows of the budget; the fixed-rate
-draw generates p of its rows), so the temporaries of a deep-N block stay
-in cache and N = 1 keeps its 65536-row blocks.  A temperature step wider
-than a block, and the t0 probe, are drawn in several blocks, which bounds
-the memory of a run for every outer_per_temp.  Each generated row reads
-one contiguous slice of the RNG stream, and the fixed-rate accept test one
-uniform per row of the budget, both in row order, so the draws, and every
-result but `trace`, do not depend on how the budget is cut into blocks.
-
-Buffers: the block-sized arrays of both draws are views of arrays that
-the solve keeps (a _Buffers) and the next draw overwrites, so a block
-costs no fresh pages of memory.  What still allocates is the argsort of
-the water-filling, the row indices of the survivors and of the rows
-water-filled and, in the fixed-rate draw, _spread's copy of the last
-column.  Fresh arrays cost a minor page fault per 4 KiB, and glibc
-trimmed the heap after each block, so every block faulted the same pages
-in again: 12 to 15 thousand faults per variable-rate solve at N = 1 and
-3.  The variable-rate draw works through a block in slices of
-_SLICE_ROWS rows: each slice is drawn, tested on C2, bounded and
-water-filled on its own, and only the outages, rates, powers and bounds
-of the rows that meet C2 are kept for the whole block.  The arrays of
-the water-filling then hold one slice's survivors and stay in cache, and
-the arithmetic of each row is unchanged.
+Of the schedule, the variable-rate solver reads only `seed`.
 
 Everything is a pure function of (spec, schedule): identical inputs give
 identical results.
@@ -170,9 +164,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import EPSILON_GUARD as DELTA
-from .channel import power_for_outage
+from .channel import ChannelModel, power_for_outage
 from .markov import steady_state_for
-from .policy import Policy, ProblemSpec, average_power, make_policy
+from .policy import _SLACK, Policy, ProblemSpec, average_power, make_policy
 
 # Size of one vectorised draw: about _BLOCK_ELEMENTS outage entries
 # (rows generated x states, 1 MiB of float64, which keeps a block's
@@ -183,18 +177,18 @@ from .policy import Policy, ProblemSpec, average_power, make_policy
 _BLOCK_ELEMENTS = 2**17
 _BLOCK_ROWS = 65536
 
-# Rows of one slice of a variable-rate block.  The slices of a block are
-# drawn, tested on C2 and water-filled one after another, so the arrays of
-# the water-filling hold the survivors of one slice (a sixth to a quarter
-# of its rows at gamma 0.2) and stay in cache.
-_SLICE_ROWS = 16384
-
-# Relative rounding margin of the variable-rate power bound: a row is
-# water-filled only when (1 - margin) 2^(R + sum pi_i log2 c_i) -
-# (1 + margin) sum pi_i c_i lies below the threshold.  About 4500 ulps
-# (2.2e-16 each) of the two terms, against a computed gap of at most 11
-# ulps between bound and power seen at N <= 30; see the module docstring.
-_BOUND_MARGIN = 1e-12
+# The variable-rate search (see the module docstring): rows of each family
+# grid and its zooms; exploration rows of the first round (each later one
+# doubles them), rounds, and starts polished per round; the polish's offsets, first and last
+# step, logit range, sufficient decrease and drop margin; the row cap.
+_FAMILY_ROWS, _FAMILY_ZOOMS = 257, 4
+_EXPLORE_ROWS, _EXPLORE_ROUNDS, _EXPLORE_STARTS = 4096, 4, 6
+_OFFSETS = np.linspace(-1.0, 1.0, 8)
+_STEP, _MIN_STEP = 4.0, 1e-4
+_LOGIT_MAX = 12.0
+_LOGIT_FLOOR = 1.0 / (1.0 + math.exp(_LOGIT_MAX))
+_TOL, _DROP = 1e-9, 0.01
+_MAX_ROWS = 2**22
 
 # Fallback initial temperature when no probe candidate is feasible, and
 # the ceiling of an automatic t0.
@@ -223,7 +217,8 @@ class AnnealingSchedule:
     c_sa:           cooling constant of T_b = t0/(c_sa*b + 1)
     t_min:          stopping temperature
     outer_per_temp: candidate outage vectors drawn per temperature step
-    seed:           RNG seed; equal seeds reproduce the run bit-exactly
+    seed:           RNG seed; equal seeds reproduce the run bit-exactly,
+                    and the only field solve_variable reads
     """
 
     t0: float | None = None
@@ -256,24 +251,19 @@ class AnnealingSchedule:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of one solver run: the minimum over its feasible draws.
+    """Outcome of one solver run: the cheapest feasible table it evaluated.
 
-    evaluated_count counts the rows of the draw budget, including the
-    fixed-rate rows that the order cut drops without generating them (each
-    of which would break the power order); feasible_count the rows whose
-    table is feasible (for the variable-rate solver, those with a feasible
-    rate allocation); accepted_count the draws that lowered the running
-    best, in draw order.  trace holds one (temperature, block minimum,
-    best) sample per block of temperature steps: the last temperature of
-    the block, the cheapest feasible draw of the block (inf when it has
-    none) and the best so far, which is non-increasing.  Blocks generate
-    about 2^17 outage entries, so the trace grows with N and, for the
-    fixed-rate solver, shrinks with the share of rows the cut keeps;
-    trace is the only field that depends on the block size.  The trace
-    holds each power as the draw computed it, best_avg_power the
-    re-evaluation of the best table by average_power: the two round the
-    same table differently, so trace[-1][2] and best_avg_power agree to
-    about 1e-15 relative, not bit for bit.
+    evaluated_count counts the rows evaluated (for the fixed-rate solver,
+    of the draw budget, with those the order cut drops ungenerated);
+    feasible_count the rows with a feasible table; accepted_count the rows
+    (fixed rate) or batches (variable rate) that lowered the running best.
+    trace holds (temperature, block minimum, best) per block of fixed-rate
+    temperature steps, the only field that depends on the block size, and
+    (largest step, iteration minimum, best) per variable-rate polish
+    iteration; a minimum is inf when its rows are all infeasible, and best
+    is non-increasing.  The trace holds each power as the search computed
+    it, best_avg_power the re-evaluation of the best table by
+    average_power: they agree to about 1e-15 relative, not bit for bit.
     """
 
     best_avg_power: float
@@ -319,16 +309,14 @@ def metropolis_accept(
 class _Buffers:
     """Named arrays that the draws of one solve write into, block after block.
 
-    A fresh block-sized array costs a minor page fault per 4 KiB, and
-    glibc trims the heap once a block's arrays are freed, so the next block
-    would fault the same pages in again.  buf(name, shape) returns the
-    first prod(shape) entries of the array called name, as a view of that
-    shape; the array is replaced by a larger one only when a view outgrows
-    it, so it ends as large as the largest view asked of it.  A view holds
-    until its name is asked for again.  Each name is its own allocation:
-    one array larger than the RNG block, once freed, raises glibc's
-    threshold for returning memory and with it the peak RSS of later work
-    in the process.
+    buf(name, shape) returns the first prod(shape) entries of the array
+    called name, as a view of that shape that holds until the name is asked
+    for again; the array is replaced only when a view outgrows it.  A fresh
+    block-sized array would cost a minor page fault per 4 KiB every block,
+    since glibc trims the heap once a block's arrays are freed.  Each name
+    is its own allocation: one array larger than the RNG block, once freed,
+    raises glibc's threshold for returning memory and with it the peak RSS
+    of later work in the process.
     """
 
     def __init__(self):
@@ -338,7 +326,7 @@ class _Buffers:
         size = math.prod(shape) if isinstance(shape, tuple) else shape
         a = self._arrays.get(name)
         if a is None or a.size < size:
-            # whole 4096-entry units: a survivor count that creeps up by a
+            # whole 4096-entry units: a row count that creeps up by a
             # few rows does not replace the array every block
             a = self._arrays[name] = np.empty(-(-size // 4096) * 4096, dtype)
         return a[:size].reshape(shape)
@@ -396,12 +384,9 @@ def _tail_sum(tail, f=None, out=None):
     return w1 if wf is None else (w1, wf)
 
 
-def _spread(u, lo: float, hi: float, hi_last: float, last=None):
-    """Map uniforms u in place from [0, 1) to [lo, hi), the last column to [lo, hi_last).
-
-    last, a row as long as u, holds the last column while the rest is scaled.
-    """
-    last = np.multiply(u[:, -1], hi_last - lo, out=last)
+def _spread(u, lo: float, hi: float, hi_last: float):
+    """Map uniforms u in place from [0, 1) to [lo, hi), the last column to [lo, hi_last)."""
+    last = u[:, -1] * (hi_last - lo)
     u *= hi - lo
     u[:, -1] = last
     u += lo
@@ -463,10 +448,9 @@ def _order_cut(odds: float) -> float:
 def _fixed_draw(spec: ProblemSpec, seed: int):
     """Block draw of the fixed-rate problem from one seed; see the module docstring.
 
-    draw(rows, limit) evaluates `rows` rows of the budget and returns the
-    exact power of each row it keeps, in draw order, inf for the
-    infeasible ones; it takes limit for the search's draw contract and
-    ignores it.  The powers and the table function a draw returns hold
+    draw(rows) evaluates `rows` rows of the budget and returns the exact
+    power of each row it keeps, in draw order, inf for the infeasible
+    ones.  The powers and the table function a draw returns hold
     until the next draw; table(j) serves the kept rows with a finite
     power.  The tables come from np.random.default_rng(seed) and the
     accept test from a stream spawned from the same seed; draw.entries is
@@ -501,7 +485,7 @@ def _fixed_draw(spec: ProblemSpec, seed: int):
     # pbar, e0, lb and bad.
     buf = _Buffers()
 
-    def draw(rows: int, limit: float | None = None):
+    def draw(rows: int):
         s = rows
         if p_keep < 1.0:
             # one accept uniform per row of the budget
@@ -553,98 +537,6 @@ def _fixed_draw(spec: ProblemSpec, seed: int):
     return draw
 
 
-def _variable_draw(spec: ProblemSpec, rng):
-    """Block draw of the variable-rate problem; see the module docstring.
-
-    draw(rows, limit) returns a power for every row that meets C2: exact
-    for every row that could lower the running minimum of the block below
-    limit, and for the block minimum, and inf for the others, and for every
-    infeasible row.  With limit None every feasible row is water-filled.
-    The table function serves the rows with an exact power.  Raises
-    NoFeasibleSolution(0) when no outage fits under eps_out.
-    """
-    ch = spec.channel
-    n1 = spec.n_states + 1
-    odds = spec.gamma / (1.0 - spec.gamma)
-    top = min(spec.eps_out, 1.0 - DELTA)
-    if top <= DELTA:
-        raise NoFeasibleSolution(0)
-
-    buf = _Buffers()
-
-    def prepare(es):
-        # pi, c_i = N0/(-ln(1 - eps_i) Omega), log2 c_i, rate caps and
-        # feasibility of the outage rows es
-        pi = _steady_rows(es, buf)
-        coef = np.negative(es, out=buf("coef", es.shape))
-        np.log1p(coef, out=coef)
-        np.negative(coef, out=coef)
-        coef *= ch.mean_fading_power
-        np.divide(ch.noise_power, coef, out=coef)
-        return (pi, coef, *_rate_caps(coef, pi, spec, buf))
-
-    def fill(pi, coef, lc, rcap):
-        # rates (written over lc) and powers of feasible rows
-        r = _water_fill(lc, rcap, pi, spec, buf)
-        power = np.exp2(r, out=buf("power", r.shape))
-        power -= 1.0
-        power *= coef
-        return r, np.einsum("ij,ij->i", power, pi, out=buf("filled", len(r)))
-
-    def draw(rows: int, limit: float | None = None):
-        # the outages, rates and powers of the rows that meet C2, in draw
-        # order, and the power bounds of their feasible rows (inf elsewhere)
-        e, rates, pbar = buf("e", (rows, n1)), buf("rates", (rows, n1)), buf("pbar", rows)
-        bound = buf("bound", rows)
-        low = math.inf  # the cheapest exact power of the block so far
-        done = feasible = 0
-        for start in range(0, rows, _SLICE_ROWS):
-            u = rng.random(out=buf("rng", (min(_SLICE_ROWS, rows - start), n1)))
-            _spread(u, DELTA, 1.0 - DELTA, top, last=buf("w1", len(u)))
-            # C2 before pi: gamma_r = eps_0 W_1/(1 + eps_0 W_1) <= gamma
-            x = _tail_sum(u[:, 1:].T, out=(buf("w1", len(u)),))
-            x *= u[:, 0]
-            surv = np.flatnonzero(np.less_equal(x, odds, out=buf("c2", len(u), bool)))
-            at = slice(done, done + surv.size)
-            es = np.take(u, surv, axis=0, out=e[at], mode="clip")
-            pi, coef, lc, rcap, ok = prepare(es)
-            feasible += int(np.count_nonzero(ok))
-            b = _power_bound(coef, lc, pi, spec, buf, out=bound[at])
-            b[np.logical_not(ok, out=buf("infeasible", ok.size, bool))] = np.inf
-            # water-fill only the rows whose bound is below the threshold;
-            # every feasible bound is finite, so inf passes them all
-            cut = math.inf if limit is None else min(limit, low)
-            todo = np.flatnonzero(np.less(b, cut, out=ok))
-            part = [np.take(a, todo, axis=0, out=buf(name, (todo.size, n1)), mode="clip")
-                    for name, a in (("pi_fill", pi), ("coef_fill", coef), ("lc_fill", lc),
-                                    ("rcap_fill", rcap))]
-            r, ps = fill(*part)
-            pbar[at] = np.inf
-            todo += done
-            pbar[todo] = ps
-            rates[todo] = r
-            if ps.size:
-                low = min(low, float(ps.min()))
-            done += surv.size
-        e, rates, pbar, bound = e[:done], rates[:done], pbar[:done], bound[:done]
-        if limit is not None and low >= limit:
-            # the block lowers nothing: its minimum is exact once every
-            # skipped row whose bound lies below the cheapest exact power
-            # is water-filled too
-            late = np.less(bound, low, out=buf("late", done, bool))
-            late &= np.isinf(pbar, out=buf("skipped", done, bool))
-            late = np.flatnonzero(late)
-            if late.size:
-                pi, coef, lc, rcap, _ = prepare(
-                    np.take(e, late, axis=0, out=buf("e_late", (late.size, n1)), mode="clip"))
-                r, ps = fill(pi, coef, lc, rcap)
-                pbar[late] = ps
-                rates[late] = r
-        return rows, feasible, pbar, lambda j: (e[j].copy(), rates[j].copy())
-
-    return draw
-
-
 def _rate_caps(coef, pi, spec: ProblemSpec, buf=None):
     """log2 c_i, the rate caps rcap_i and each row's feasibility (PEAK and C1).
 
@@ -664,25 +556,6 @@ def _rate_caps(coef, pi, spec: ProblemSpec, buf=None):
     cap_rate = np.einsum("ij,ij->i", rcap, pi, out=buf("cap_rate", rows))
     ok &= np.greater_equal(cap_rate, spec.avg_rate, out=buf("c1", rows, bool))
     return lc, rcap, ok
-
-
-def _power_bound(coef, lc, pi, spec: ProblemSpec, buf=None, out=None):
-    """Lower bound on the water-filled power of each row, less a rounding margin.
-
-    L = 2^(R + sum pi_i log2 c_i) - sum pi_i c_i (weighted AM-GM); returns
-    (1 - _BOUND_MARGIN) 2^(R + ...) - (1 + _BOUND_MARGIN) sum pi_i c_i, which
-    the computed power of every feasible row reaches (see the module
-    docstring).  out, a row, receives it instead of a new array.
-    """
-    buf = _Buffers() if buf is None else buf
-    bound = np.einsum("ij,ij->i", lc, pi, out=out)
-    bound += spec.avg_rate
-    np.exp2(bound, out=bound)
-    bound *= 1.0 - _BOUND_MARGIN
-    mean_c = np.einsum("ij,ij->i", coef, pi, out=buf("mean_coef", len(bound)))
-    mean_c *= 1.0 + _BOUND_MARGIN
-    bound -= mean_c
-    return bound
 
 
 def _water_fill(lc, rcap, pi, spec: ProblemSpec, buf=None):
@@ -754,14 +627,11 @@ def _chunks(rows: int, block: int):
 def _search(schedule: AnnealingSchedule, draw, block: int):
     """Minimum over every feasible draw of the schedule's budget.
 
-    draw(rows, limit) returns (candidates evaluated, how many are feasible,
-    their average powers, and a function giving the (eps, rates) table of
-    a candidate with a finite power by index); it is called with at most
-    `block` rows and the running best as limit.  The powers are exact for
-    every row that could lower the running minimum of the block below
-    limit, and for the block minimum; other rows may read inf, as
-    infeasible ones do.  Both draws write every block into arrays that
-    their next call overwrites, so each block is reduced, and its best
+    draw(rows) returns (candidates evaluated, how many are feasible, their
+    average powers, inf for the infeasible ones, and a function giving the
+    (eps, rates) table of a feasible candidate by index); it is called
+    with at most `block` rows.  The draw writes every block into arrays
+    that its next call overwrites, so each block is reduced, and its best
     table copied out by table(j), before the next one is drawn.  The draws
     that lowered the running best are the strict drops of one running
     minimum, written into an array the search keeps.  Returns (best
@@ -775,7 +645,7 @@ def _search(schedule: AnnealingSchedule, draw, block: int):
     for temps in _temperature_blocks(schedule, block):
         block_min = math.inf
         for rows in _chunks(temps.size * schedule.outer_per_temp, block):
-            drawn, ok, pbar, table = draw(rows, best)
+            drawn, ok, pbar, table = draw(rows)
             evaluated += drawn
             feasible += ok
             if not pbar.size:
@@ -798,27 +668,15 @@ def _search(schedule: AnnealingSchedule, draw, block: int):
     return best_table, improved, feasible, evaluated, tuple(trace)
 
 
-def _solve(spec: ProblemSpec, schedule: AnnealingSchedule, draw, entries: float) -> SolveResult:
-    """Run the search and evaluate its best table.
-
-    entries is the mean number of outage entries a draw generates per row
-    of the budget; blocks hold about _BLOCK_ELEMENTS of them.  At the
-    default sizes the row cap binds below 2 entries, so the floor of 1
-    changes no block; it keeps a fixed-rate p that underflows to 0 (N
-    past about 1500) from dividing by zero.
-    """
-    block = max(1, min(_BLOCK_ROWS, int(_BLOCK_ELEMENTS // max(entries, 1.0))))
-    (eps, rates), improved, feasible, evaluated, trace = _search(
-        _resolve_t0(schedule, draw, block), draw, block
-    )
-    policy = make_policy(eps, rates, spec.channel)
+def _result(policy: Policy, improved: int, feasible: int, evaluated: int, trace) -> SolveResult:
+    """The SolveResult of a best table, with its power evaluated by average_power."""
     return SolveResult(
         best_avg_power=average_power(policy.powers, steady_state_for(policy.eps)),
         best_policy=policy,
         accepted_count=improved,
         feasible_count=feasible,
         evaluated_count=evaluated,
-        trace=trace,
+        trace=tuple(trace),
     )
 
 
@@ -833,25 +691,168 @@ def solve_fixed(spec: ProblemSpec, schedule: AnnealingSchedule) -> SolveResult:
     NoFeasibleSolution(0), before drawing, when the outage at peak power
     lies above gamma (every loss rate is then above gamma) or leaves no
     outage in the guard band.
+
+    Blocks hold about _BLOCK_ELEMENTS of the draw.entries outage entries
+    per row of the budget; the floor of 1 entry keeps a p that underflows
+    to 0 (N past about 1500) from dividing by zero.
     """
     p_out = power_for_outage(spec.eps_out, spec.avg_rate, spec.channel)
     if p_out > spec.peak_power * (1.0 + 1e-12):
         raise ValueError("feasibility window empty")
     draw = _fixed_draw(spec, schedule.seed)
-    return _solve(spec, schedule, draw, draw.entries)
+    block = max(1, min(_BLOCK_ROWS, int(_BLOCK_ELEMENTS // max(draw.entries, 1.0))))
+    (eps, rates), *counts = _search(_resolve_t0(schedule, draw, block), draw, block)
+    return _result(make_policy(eps, rates, spec.channel), *counts)
+
+
+class _VariableSearch:
+    """Powers of variable-rate rows u, and the cheapest row over every batch.
+
+    A row u in [0, 1]^(N+1) is a table (see the module docstring).  The
+    search works in units of N0/Omega: `spec` is the problem with P_m in
+    those units and N0 = Omega = 1, and `unit` converts its powers to W.
+    """
+
+    def __init__(self, spec: ProblemSpec):
+        self.unit = spec.channel.noise_power / spec.channel.mean_fading_power
+        self.spec = replace(spec, peak_power=spec.peak_power / self.unit, channel=ChannelModel())
+        self.odds = spec.gamma / (1.0 - spec.gamma)
+        # the outage at which P_m sends r_min: no state can go below it
+        floor = -math.expm1((1.0 - 2.0**spec.r_min) / self.spec.peak_power)
+        self.top = min(spec.eps_out, 1.0 - DELTA)
+        self.lo = min(max(DELTA, floor), self.top)
+        self.span = np.full(spec.n_states + 1, 1.0 - DELTA - self.lo)
+        self.span[-1] = self.top - self.lo
+        self.best, self.best_row = math.inf, None
+        self.improved = self.feasible = self.evaluated = 0
+        self.buf = _Buffers()
+
+    def tables(self, u):
+        """Outages, rates and powers (inf where infeasible) of rows u."""
+        e = u * self.span
+        e += self.lo
+        ub = np.minimum(self.odds / _tail_sum(e[:, 1:].T), 1.0 - DELTA)
+        e[:, 0] = u[:, 0] * (ub - self.lo) + self.lo
+        pi = _steady_rows(e, self.buf)
+        coef = -1.0 / np.log1p(-e)
+        lc, rcap, ok = _rate_caps(coef, pi, self.spec, self.buf)
+        ok &= ub >= self.lo
+        rates = _water_fill(lc, rcap, pi, self.spec, self.buf)
+        power = np.einsum("ij,ij->i", coef * (np.exp2(rates) - 1.0), pi)
+        power[~ok] = np.inf
+        return e, rates, power
+
+    def family(self, k: int, tail):
+        """Rows with eps_1..eps_{k-1} = 1 - DELTA, eps_k..eps_N = tail and u_0 = 1."""
+        u = np.ones((tail.size, self.span.size))
+        np.divide(tail[:, None] - self.lo, self.span[k:], out=u[:, k:], where=self.span[k:] > 0.0)
+        return u
+
+    def powers(self, u):
+        """Powers of rows u, in blocks of about _BLOCK_ELEMENTS outages; counts them."""
+        step = max(1, _BLOCK_ELEMENTS // u.shape[1])
+        p = np.concatenate([self.tables(u[i:i + step])[2] for i in range(0, len(u), step)])
+        self.evaluated += p.size
+        self.feasible += int(np.count_nonzero(p < np.inf))
+        j = int(np.argmin(p))
+        if p[j] < self.best:
+            self.best, self.best_row = float(p[j]), u[j].copy()
+            self.improved += 1
+        return p
+
+
+def _sigmoid(z):
+    """The logistic function rescaled to map [-_LOGIT_MAX, _LOGIT_MAX] onto [0, 1]."""
+    return np.clip((1.0 / (1.0 + np.exp(-z)) - _LOGIT_FLOOR) / (1.0 - 2.0 * _LOGIT_FLOOR), 0.0, 1.0)
+
+
+def _polish(search: _VariableSearch, u, trace: list) -> np.ndarray:
+    """Coordinate pattern search in logit coordinates from start rows u.
+
+    See the module docstring.  Appends (largest step, iteration minimum,
+    best), in W, to trace per iteration and returns the power each start ends at.
+    """
+    v = u * (1.0 - 2.0 * _LOGIT_FLOOR) + _LOGIT_FLOOR
+    z = np.clip(np.log(v) - np.log1p(-v), -_LOGIT_MAX, _LOGIT_MAX)
+    power = search.powers(_sigmoid(z))
+    starts, n1 = z.shape
+    moves = n1 * _OFFSETS.size
+    step = np.full(starts, _STEP)
+    state = np.arange(n1)
+    while (live := np.flatnonzero(step >= _MIN_STEP)).size and search.evaluated < _MAX_ROWS:
+        cand = np.repeat(z[live], moves, axis=0).reshape(live.size, n1, _OFFSETS.size, n1)
+        # move d of start s by step[s]*o in coordinate d only
+        cand[:, state, :, state] += step[live, None] * _OFFSETS
+        np.clip(cand, -_LOGIT_MAX, _LOGIT_MAX, out=cand)
+        cand = cand.reshape(live.size, moves, n1)
+        p = search.powers(_sigmoid(cand.reshape(-1, n1))).reshape(live.size, moves)
+        j = np.argmin(p, axis=1)
+        low = p[np.arange(live.size), j]
+        better = low < power[live] * (1.0 - _TOL)
+        z[live[better]] = cand[better, j[better]]
+        power[live[better]] = low[better]
+        trace.append((float(step[live].max()), float(low.min()) * search.unit,
+                      search.best * search.unit))
+        step[live[~better]] /= 4.0
+        # a start that has failed a move and still lies well above the best
+        # start is in a worse basin: it stops
+        step[(step < _STEP) & (power > power.min() * (1.0 + _DROP))] = 0.0
+    return power
+
+
+def _certified_infeasible(spec: ProblemSpec) -> bool:
+    """True when no table evaluate_variable accepts, at its slack, meets C1 or PEAK in state N."""
+    slack = lambda x: _SLACK * max(1.0, abs(x))  # noqa: E731
+    e_n = min(spec.eps_out + slack(spec.eps_out), 1.0 - DELTA)
+    least = power_for_outage(e_n, max(0.0, spec.r_min - slack(spec.r_min)), spec.channel)
+    return (spec.avg_rate - slack(spec.avg_rate) > spec.r_max + slack(spec.r_max)
+            or least > spec.peak_power + slack(spec.peak_power))
 
 
 def solve_variable(spec: ProblemSpec, schedule: AnnealingSchedule) -> SolveResult:
     """Search the joint rate/outage problem over the outage vector alone.
 
-    Outage vectors are drawn under the burst budget and filtered on the
-    average-loss constraint (the stationary distribution depends on the
-    outage vector alone); each survivor gets its cheapest rates exactly,
-    by water-filling under the average-rate floor, the rate bounds and
-    the per-state power cap (see the module docstring).
+    Every table searched meets the loss and burst constraints by
+    construction and gets its cheapest rates by water-filling; the search
+    is a structured family, then rounds of exploration rows polished by a
+    coordinate pattern search (see the module docstring).  It reads only
+    the schedule's seed.  Raises NoFeasibleSolution(0) when a certificate
+    shows that no table can be feasible, and NoFeasibleSolution(evaluated)
+    when the search finds none.
     """
+    if spec.eps_out <= DELTA or _certified_infeasible(spec):
+        raise NoFeasibleSolution(0)
+    search = _VariableSearch(spec)
+    n1 = spec.n_states + 1
+    # the family on a log grid of its tail outage, zoomed about its best point
+    grid = np.geomspace(search.lo, search.top, _FAMILY_ROWS + 1)[1:]
+    depths = range(1, n1)
+    for _ in range(_FAMILY_ZOOMS + 1):
+        p = search.powers(np.vstack([search.family(k, grid) for k in depths]))
+        k, i = np.unravel_index(np.argmin(p), (len(depths), grid.size))
+        depths = [depths[k]]
+        grid = np.geomspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], _FAMILY_ROWS)
+    carry = [] if search.best_row is None else [search.best_row]
     rng = np.random.default_rng(schedule.seed)
-    return _solve(spec, schedule, _variable_draw(spec, rng), spec.n_states + 1)
+    before = math.inf
+    trace: list[tuple[float, float, float]] = []
+    for rows in _EXPLORE_ROWS * 2 ** np.arange(_EXPLORE_ROUNDS):
+        if search.evaluated >= _MAX_ROWS:
+            break
+        u = _sigmoid(rng.uniform(-_LOGIT_MAX, _LOGIT_MAX, (rows, n1)))
+        p = search.powers(u)
+        pick = np.argsort(p)[:_EXPLORE_STARTS]
+        starts = np.vstack([*carry, u[pick[p[pick] < np.inf]]])
+        end = _polish(search, starts, trace) if len(starts) else np.empty(0)
+        old = end[:len(carry)].min(initial=before)
+        if search.best_row is not None and not end[len(carry):].min(initial=math.inf) < old:
+            break
+        carry, before = [], search.best
+    if search.best_row is None:
+        raise NoFeasibleSolution(search.evaluated)
+    e, rates, _ = search.tables(search.best_row[None])
+    return _result(make_policy(e[0], rates[0], spec.channel), search.improved, search.feasible,
+                   search.evaluated, trace)
 
 
 def _step_count(schedule: AnnealingSchedule, t0: float):
@@ -881,7 +882,7 @@ def _resolve_t0(schedule: AnnealingSchedule, draw, block: int) -> AnnealingSched
         return schedule
     low = math.inf
     for rows in _chunks(10 * schedule.outer_per_temp, block):
-        _, ok, pbar, _ = draw(rows, low)
+        _, ok, pbar, _ = draw(rows)
         if ok:
             low = min(low, float(pbar.min()))
     t0 = 10.0 * low if low < math.inf else _T0_FALLBACK
