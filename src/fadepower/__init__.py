@@ -3,19 +3,18 @@
 The library models bursty packet loss with a success-runs Markov chain
 over outage states, and minimizes average transmit power subject to an
 average loss-rate constraint and a bound on the N-th consecutive-loss
-probability.  Solvers: exact N=1 closed forms and grid searches, plus
-simulated annealing for general N; a slot-level Monte-Carlo simulator
-cross-checks any policy.
+probability.  Solvers: exact N=1 closed forms and grid searches, plus one seeded
+search for general N (a structured family, exploration rows and a
+coordinate polish) that serves the fixed-rate and variable-rate problems
+alike; a slot-level Monte-Carlo simulator cross-checks any policy.
 """
 
 from .annealer import (
     AnnealingSchedule,
     NoFeasibleSolution,
     SolveResult,
-    metropolis_accept,
     solve_fixed,
     solve_variable,
-    temperature,
 )
 from .channel import ChannelModel, max_rate, outage_probability, power_for_outage
 from .closed_form import (
@@ -66,7 +65,6 @@ __all__ = [
     "evaluate_variable",
     "make_policy",
     "max_rate",
-    "metropolis_accept",
     "n1_epsilon0",
     "n1_fixed_search",
     "n1_fixed_solution",
@@ -81,6 +79,5 @@ __all__ = [
     "solve_variable",
     "steady_state",
     "steady_state_for",
-    "temperature",
     "validate",
 ]

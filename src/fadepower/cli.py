@@ -3,10 +3,10 @@
 Problem and policy files use a flat ``key = value`` text format; blank
 lines and lines starting with ``#`` are ignored.  Recognized problem
 keys: gamma, n, eps_out, rate, r_min, r_max, peak_power_dbw OR
-peak_power_w, noise_power, mean_fading_power; schedule keys: t0, c_sa,
-t_min, outer_per_temp, seed.  Peak power given in dBW is
-converted as P = 10^(dBW/10).  Policy files carry eps / rates /
-optional powers as semicolon-separated vectors plus the channel keys.
+peak_power_w, noise_power, mean_fading_power, and the solver's seed.
+Peak power given in dBW is converted as P = 10^(dBW/10).  Policy files
+carry eps / rates / optional powers as semicolon-separated vectors plus
+the channel keys.
 
 Missing keys fall back to the experiment preset (unit mean fading gain
 and noise power, 20 dBW peak power, gamma 0.2, r_min 0.001, r_max at
@@ -15,7 +15,8 @@ the peak-power capacity); n, eps_out, and rate must always be given.
 Results are emitted as JSON (to --out, or stdout when --out is absent)
 with a one-line human summary on the other stream.  Sweeps emit CSV
 with '#'-prefixed comment lines, one self-describing row per point.
-Exit codes: 0 success, 1 malformed input, 2 no feasible solution.
+Exit codes: 0 success, 1 malformed input (an unknown flag or key
+included), 2 no feasible solution.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ _PROBLEM_KEYS = _CHANNEL_KEYS | {
     "peak_power_dbw",
     "peak_power_w",
 }
-_SCHEDULE_KEYS = {"t0", "c_sa", "t_min", "outer_per_temp", "seed"}
+_SCHEDULE_KEYS = {"seed"}
 _POLICY_KEYS = (_PROBLEM_KEYS - {"n"}) | {"eps", "rates", "powers"}
 
 # experiment preset used when a key is absent (peak 100 W = 20 dBW)
@@ -66,6 +67,13 @@ _PRESET_PEAK_W = 100.0
 
 class SpecFileError(ValueError):
     """Malformed problem/policy/schedule input, with file diagnostics."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are malformed input (exit 1)."""
+
+    def error(self, message):
+        raise SpecFileError(f"{self.prog}: {message}")
 
 
 def _parse_kv_file(path: str, allowed: set[str]) -> dict[str, tuple[int, str]]:
@@ -157,16 +165,11 @@ def _spec_from_values(vals: dict, path: str) -> ProblemSpec:
 
 
 def _build_schedule(fields, path: str, args) -> AnnealingSchedule:
-    vals: dict = {}
-    for key in _SCHEDULE_KEYS:
-        if key in fields:
-            kind = int if key in {"outer_per_temp", "seed"} else float
-            vals[key] = _conv(path, key, fields[key], kind)
-        flag = getattr(args, key, None)
-        if flag is not None:
-            vals[key] = flag
+    seed = args.seed
+    if seed is None:
+        seed = _conv(path, "seed", fields["seed"], int) if "seed" in fields else 0
     try:
-        return AnnealingSchedule(**vals)
+        return AnnealingSchedule(seed=seed)
     except ValueError as exc:
         raise SpecFileError(f"{path}: {exc}") from exc
 
@@ -186,13 +189,7 @@ def _spec_echo(spec: ProblemSpec) -> dict:
 
 
 def _schedule_echo(schedule: AnnealingSchedule) -> dict:
-    return {
-        "t0": schedule.t0,
-        "c_sa": schedule.c_sa,
-        "t_min": schedule.t_min,
-        "outer_per_temp": schedule.outer_per_temp,
-        "seed": schedule.seed,
-    }
+    return {"seed": schedule.seed}
 
 
 def _policy_dict(policy: Policy) -> dict:
@@ -472,10 +469,6 @@ _SWEEP_COLUMNS = (
     "peak_power_w",
     "noise_power",
     "mean_fading_power",
-    "t0",
-    "c_sa",
-    "t_min",
-    "outer_per_temp",
     "seed",
     "feasible",
     "best_avg_power",
@@ -508,10 +501,6 @@ def cmd_sweep(args) -> int:
             "axis": args.axis,
             "axis_value": value,
             "problem": args.problem,
-            "t0": "auto" if base_sched.t0 is None else base_sched.t0,
-            "c_sa": base_sched.c_sa,
-            "t_min": base_sched.t_min,
-            "outer_per_temp": base_sched.outer_per_temp,
             "seed": base_sched.seed,
             "feasible": 0,
             "best_avg_power": "",
@@ -581,26 +570,20 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _schedule_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    sp.add_argument("--t0", type=float, default=None, help="initial temperature")
-    sp.add_argument("--c-sa", dest="c_sa", type=float, default=None)
-    sp.add_argument("--t-min", dest="t_min", type=float, default=None)
-    sp.add_argument("--outer-per-temp", dest="outer_per_temp", type=int, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fadepower",
         description="Energy-minimal rate/power policies for a fading link "
         "under average and bursty loss constraints.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("solve", help="run a simulated-annealing solver")
+    sp = sub.add_parser(
+        "solve", help="search for the cheapest table (structured family, exploration, polish)"
+    )
     sp.add_argument("problem", choices=("fixed", "variable"))
     sp.add_argument("spec_file")
-    _schedule_flags(sp)
+    sp.add_argument("--seed", type=int, default=None, help="base RNG seed")
     sp.add_argument("--restarts", type=int, default=1)
     sp.add_argument("--out", help="write result JSON here")
     sp.set_defaults(func=cmd_solve)
@@ -625,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("range", help="start:stop:step or comma-separated values")
     sw.add_argument("spec_file")
     sw.add_argument("--problem", choices=("fixed", "variable"), default="fixed")
-    _schedule_flags(sw)
+    sw.add_argument("--seed", type=int, default=None, help="base RNG seed")
     sw.add_argument("--restarts", type=int, default=1)
     sw.add_argument("--workers", type=int, default=None)
     sw.add_argument("--out", help="write CSV here (default: stdout)")
@@ -634,8 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NoFeasibleSolution as exc:
         print(str(exc), file=sys.stderr)

@@ -176,7 +176,6 @@ def test_deeper_burst_budgets_cut_power_and_curves_merge():
 def test_solvers_deterministic_and_always_feasible():
     start = time.perf_counter()
     rng = np.random.default_rng(909)
-    light = AnnealingSchedule(t0=8.0, t_min=0.8, outer_per_temp=60)
     solved = failed = 0
     for trial in range(100):
         ch = ChannelModel(
@@ -194,10 +193,7 @@ def test_solvers_deterministic_and_always_feasible():
             peak_power=peak,
             channel=ch,
         )
-        sched = AnnealingSchedule(
-            t0=light.t0, t_min=light.t_min, outer_per_temp=light.outer_per_temp,
-            seed=int(rng.integers(2**32)),
-        )
+        sched = AnnealingSchedule(seed=int(rng.integers(2**32)))
         solver = solve_fixed if trial % 2 == 0 else solve_variable
         evaluator = evaluate_fixed if trial % 2 == 0 else evaluate_variable
         try:

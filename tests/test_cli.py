@@ -9,7 +9,7 @@ from fadepower.cli import main
 PLATEAU_PBAR = 4.481420117724550
 FIXED_PBAR_01 = 5.036825427107048
 
-LIGHT_SCHEDULE = "t0 = 5\nt_min = 0.5\nouter_per_temp = 50\nseed = 3\n"
+LIGHT_SCHEDULE = "seed = 3\n"
 
 
 def write(path, text):
@@ -90,11 +90,18 @@ def test_solve_rejects_removed_rate_inner_key(tmp_path, capsys):
 
 
 def test_solve_rejects_unbounded_draw_budget(tmp_path, capsys):
+    # no option sets a draw budget any more: the cooling-schedule flags and
+    # keys that did are unknown, and unknown input is malformed (exit 1)
     spec = write(tmp_path / "spec.txt", "n = 1\neps_out = 0.1\nrate = 1\n")
     assert main(["solve", "fixed", spec, "--t-min", "1e-12"]) == 1
-    assert "draw budget" in capsys.readouterr().err
-    assert main(["sweep", "eps_out", "0.1,0.2", spec, "--t-min", "1e-12"]) == 1
-    assert "draw budget" in capsys.readouterr().err
+    assert "unrecognized arguments: --t-min" in capsys.readouterr().err
+    assert main(["sweep", "eps_out", "0.1,0.2", spec, "--outer-per-temp", "9"]) == 1
+    assert "unrecognized arguments: --outer-per-temp" in capsys.readouterr().err
+    keyed = write(tmp_path / "keyed.txt", "n = 1\neps_out = 0.1\nrate = 1\nt0 = 5\n")
+    assert main(["solve", "fixed", keyed]) == 1
+    assert "keyed.txt:4" in capsys.readouterr().err
+    assert main(["solve", "bogus", spec]) == 1
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_solve_empty_feasibility_window_exit_two(tmp_path, capsys):
@@ -229,6 +236,7 @@ def test_sweep_csv_contract(tmp_path):
     cf = hdr.index("closed_form_avg_power")
     pw = hdr.index("powers")
     assert [r[av] for r in data] == ["0.1", "0.2", "0.3"]
+    assert not {"t0", "c_sa", "t_min", "outer_per_temp"} & set(hdr)
     assert all(r[feas] == "1" for r in data)
     assert all(float(r[cf]) > 0 for r in data)
     assert all(";" in r[pw] for r in data)
