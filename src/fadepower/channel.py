@@ -29,17 +29,12 @@ class ChannelModel:
         Mean channel power gain E[|h|^2] (dimensionless).
     noise_power:
         Noise power N0 in linear watts.
-    kind:
-        Fading family; only "rayleigh" is supported.
     """
 
     mean_fading_power: float = 1.0
     noise_power: float = 1.0
-    kind: str = "rayleigh"
 
     def __post_init__(self) -> None:
-        if self.kind != "rayleigh":
-            raise ValueError(f"unsupported fading kind: {self.kind!r}")
         if not self.mean_fading_power > 0.0:
             raise ValueError("mean_fading_power must be positive")
         if not self.noise_power > 0.0:
@@ -84,16 +79,12 @@ def power_for_outage(epsilon: float, rate: float, ch: ChannelModel) -> float:
     return (2.0**rate - 1.0) * ch.noise_power / (-math.log1p(-epsilon) * ch.mean_fading_power)
 
 
-def max_rate(peak_power: float, ch: ChannelModel, reference_gain: float | None = None) -> float:
-    """Capacity-based rate cap log2(1 + peak_power*gain/N0).
+def max_rate(peak_power: float, ch: ChannelModel) -> float:
+    """Capacity-based rate cap log2(1 + peak_power*Omega/N0).
 
-    `reference_gain` is a deterministic stand-in for the random channel gain
-    (the transmitter has no realization to plug in); it defaults to the mean
-    fading power.
+    The mean fading power Omega stands in for the random channel gain: the
+    transmitter has no realization to plug in.
     """
     if not peak_power > 0.0:
         raise ValueError("peak_power must be positive")
-    gain = ch.mean_fading_power if reference_gain is None else reference_gain
-    if not gain > 0.0:
-        raise ValueError("reference_gain must be positive")
-    return math.log2(1.0 + peak_power * gain / ch.noise_power)
+    return math.log2(1.0 + peak_power * ch.mean_fading_power / ch.noise_power)

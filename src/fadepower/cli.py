@@ -404,7 +404,6 @@ def cmd_simulate(args) -> int:
                 channel=channel,
                 slots=args.slots,
                 seed=args.seed,
-                burst_bound=policy.n_states,
                 burn_in=args.burn_in,
             )
         )
@@ -496,7 +495,7 @@ def cmd_sweep(args) -> int:
 
     def point(value):
         vals = dict(base_vals)
-        vals[args.axis if args.axis != "n" else "n"] = value
+        vals[args.axis] = value
         row = {
             "axis": args.axis,
             "axis_value": value,
@@ -623,10 +622,7 @@ def main(argv=None) -> int:
     except NoFeasibleSolution as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (SpecFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,13 +3,14 @@
 With a single tolerated loss (N=1) the two-state chain admits closed
 forms: the stationary pair (pi0, pi1), the state-0 outage that makes the
 average-loss constraint bind given a terminal outage, and the resulting
-rates and powers.  The tests check the annealing solvers against them.
-Every policy here keeps the average-loss constraint binding, which is
-optimal only where the loss budget is worth spending: the searches are
-upper bounds on the N=1 optimum, not oracles, and equal it only where the
-budget binds at the optimum (for the fixed-rate problem at gamma 0.2,
-eps_out 0.1 it does; at eps_out 0.02 it does not).  None of this
-generalizes to N > 1, where the solvers are the only route.
+rates and powers.  The tests check the solvers of the annealer module
+(one search for every N) against them.  Every policy here keeps the
+average-loss constraint binding, which is optimal only where the loss
+budget is worth spending: the searches are upper bounds on the N=1
+optimum, not oracles, and equal it only where the budget binds at the
+optimum (for the fixed-rate problem at gamma 0.2, eps_out 0.1 it does;
+at eps_out 0.02 it does not).  None of this generalizes to N > 1, where
+the solvers are the only route.
 
 All functions reject specs with n_states != 1.
 """

@@ -5,7 +5,10 @@ success returns the chain to state 0; a loss in state i < N advances to
 state i+1, and a loss in the terminal state N self-loops.  With per-state
 outage probabilities eps[i] strictly inside (0, 1) the chain is
 irreducible and aperiodic, so the stationary distribution exists and is
-unique.
+unique.  product_form gives it in closed form and is the route every
+power of the package is summed over; steady_state solves pi = pi A
+densely for any row-stochastic matrix, the reference the tests hold the
+product form to.
 """
 
 from __future__ import annotations
@@ -69,9 +72,25 @@ def steady_state(a) -> np.ndarray:
     return pi
 
 
+def product_form(e) -> np.ndarray:
+    """Stationary distributions of the outage vectors along the last axis of e.
+
+    pi_j is proportional to eps_0*...*eps_{j-1}, with the terminal weight
+    divided by (1 - eps_N) to absorb the self-loop.  A 1-D e is one
+    policy and a 2-D e a block of rows, each row's pi bit for bit the one
+    it gets alone.  e is not checked (steady_state_for checks it).
+    """
+    w = np.empty_like(e)
+    w[..., 0] = 1.0
+    np.cumprod(e[..., :-1], axis=-1, out=w[..., 1:])
+    w[..., -1] /= 1.0 - e[..., -1]
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
+
+
 def steady_state_for(eps) -> np.ndarray:
-    """Stationary distribution straight from an outage vector."""
-    return steady_state(build_transition_matrix(eps))
+    """Stationary distribution of one outage vector, by the product form."""
+    return product_form(_as_outage_vector(eps))
 
 
 def achieved_loss_rate(eps, pi) -> float:

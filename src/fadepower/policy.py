@@ -18,7 +18,7 @@ rejected for round-off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -136,37 +136,38 @@ def _check_dimensions(policy: Policy, spec: ProblemSpec) -> None:
         )
 
 
-def evaluate_variable(policy: Policy, spec: ProblemSpec) -> EvalReport:
-    """Evaluate a policy against the variable-rate problem constraints."""
+def _evaluate(policy: Policy, spec: ProblemSpec) -> EvalReport:
+    """pi, gamma_r, the average rate and power of a policy, and its C2, C3 and PEAK checks."""
     _check_dimensions(policy, spec)
     pi = steady_state_for(policy.eps)
     gamma_r = achieved_loss_rate(policy.eps, pi)
-    rate_avg = float(np.dot(policy.rates, pi))
-    p_avg = average_power(policy.powers, pi)
     eps_n = policy.eps[-1]
-
-    violated = []
-    if not _geq(rate_avg, spec.avg_rate):
-        violated.append("C1")
-    if not _leq(gamma_r, spec.gamma):
-        violated.append("C2")
-    if not _leq(eps_n, spec.eps_out):
-        violated.append("C3")
-    if not all(
-        _geq(r, spec.r_min) and _leq(r, spec.r_max) for r in policy.rates
-    ):
-        violated.append("C4")
-    if not all(_leq(p, spec.peak_power) for p in policy.powers):
-        violated.append("PEAK")
-
+    checks = (
+        ("C2", _leq(gamma_r, spec.gamma)),
+        ("C3", _leq(eps_n, spec.eps_out)),
+        ("PEAK", all(_leq(p, spec.peak_power) for p in policy.powers)),
+    )
+    violated = tuple(label for label, ok in checks if not ok)
     return EvalReport(
-        avg_power=p_avg,
-        avg_rate_achieved=rate_avg,
+        avg_power=average_power(policy.powers, pi),
+        avg_rate_achieved=float(np.dot(policy.rates, pi)),
         gamma_r=gamma_r,
         eps_n=eps_n,
         feasible=not violated,
-        violated=tuple(violated),
+        violated=violated,
     )
+
+
+def evaluate_variable(policy: Policy, spec: ProblemSpec) -> EvalReport:
+    """Evaluate a policy against the variable-rate problem constraints."""
+    report = _evaluate(policy, spec)
+    checks = (
+        ("C1", _geq(report.avg_rate_achieved, spec.avg_rate)),
+        ("C4", all(_geq(r, spec.r_min) and _leq(r, spec.r_max) for r in policy.rates)),
+    )
+    # the labels sort in report order: C1, C2, C3, C4, PEAK
+    violated = tuple(sorted(report.violated + tuple(label for label, ok in checks if not ok)))
+    return replace(report, feasible=not violated, violated=violated)
 
 
 def evaluate_fixed(policy: Policy, spec: ProblemSpec) -> EvalReport:
@@ -179,33 +180,10 @@ def evaluate_fixed(policy: Policy, spec: ProblemSpec) -> EvalReport:
     state last, checking P_N alone would suffice, but the full scan is
     cheap and also covers unordered inputs).
     """
-    _check_dimensions(policy, spec)
     r = spec.avg_rate
     if any(abs(ri - r) > 1e-12 * max(1.0, abs(r)) for ri in policy.rates):
         raise ValueError("fixed-rate policy malformed")
-
-    pi = steady_state_for(policy.eps)
-    gamma_r = achieved_loss_rate(policy.eps, pi)
-    rate_avg = float(np.dot(policy.rates, pi))
-    p_avg = average_power(policy.powers, pi)
-    eps_n = policy.eps[-1]
-
-    violated = []
-    if not _leq(gamma_r, spec.gamma):
-        violated.append("C2")
-    if not _leq(eps_n, spec.eps_out):
-        violated.append("C3")
-    if not all(_leq(p, spec.peak_power) for p in policy.powers):
-        violated.append("PEAK")
-
-    return EvalReport(
-        avg_power=p_avg,
-        avg_rate_achieved=rate_avg,
-        gamma_r=gamma_r,
-        eps_n=eps_n,
-        feasible=not violated,
-        violated=tuple(violated),
-    )
+    return _evaluate(policy, spec)
 
 
 def check_power_ordering(powers) -> bool:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .channel import ChannelModel
 from .markov import achieved_loss_rate, build_transition_matrix, steady_state_for
-from .policy import Policy, ProblemSpec, average_power
+from .policy import Policy, ProblemSpec, _check_dimensions, average_power
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,6 @@ class SimConfig:
     channel: ChannelModel
     slots: int
     seed: int
-    burst_bound: int
     burn_in: int = 1000
 
     def __post_init__(self) -> None:
@@ -55,8 +54,6 @@ class SimConfig:
             raise ValueError("slots must be >= 1")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
-        if self.burst_bound != self.policy.n_states:
-            raise ValueError("burst_bound must equal the policy's state count minus 1")
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,7 @@ def _walk(gains: np.ndarray, thr: np.ndarray, nxt: np.ndarray, state: int) -> np
 def simulate(cfg: SimConfig) -> SimReport:
     """Run one seeded replication and tally the counted window."""
     policy = cfg.policy
-    n = cfg.burst_bound
+    n = policy.n_states
     ch = cfg.channel
     thr = _thresholds(policy, ch)
     nxt = np.minimum(np.arange(1, n + 2), n).astype(np.min_scalar_type(n))
@@ -251,13 +248,13 @@ def validate(
     burn_in: int = 1000,
 ) -> ValidationRecord:
     """Simulate `policy` and score the sample against the chain model."""
+    _check_dimensions(policy, spec)
     report = simulate(
         SimConfig(
             policy=policy,
             channel=spec.channel,
             slots=slots,
             seed=seed,
-            burst_bound=spec.n_states,
             burn_in=burn_in,
         )
     )

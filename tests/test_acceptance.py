@@ -27,7 +27,12 @@ from fadepower.closed_form import (
     n1_steady,
     n1_variable_search,
 )
-from fadepower.markov import achieved_loss_rate, steady_state_for
+from fadepower.markov import (
+    achieved_loss_rate,
+    build_transition_matrix,
+    steady_state,
+    steady_state_for,
+)
 from fadepower.policy import (
     ProblemSpec,
     evaluate_fixed,
@@ -76,10 +81,7 @@ def test_steady_state_linear_solve_matches_product_form():
         n = int(rng.integers(1, 11))
         eps = rng.uniform(0.001, 0.999, n + 1)
         pi = steady_state_for(eps)
-        w = np.ones(n + 1)
-        w[1:] = np.cumprod(eps[:-1])
-        w[-1] /= 1.0 - eps[-1]
-        assert np.max(np.abs(pi - w / w.sum())) < 1e-10
+        assert np.max(np.abs(pi - steady_state(build_transition_matrix(eps)))) < 1e-10
         if n == 1:
             exact = n1_steady(float(eps[0]), float(eps[1]))
             assert abs(pi[0] - exact[0]) < 1e-12
@@ -137,8 +139,7 @@ def test_monte_carlo_agrees_with_chain_statistics():
     start = time.perf_counter()
     slots = 10**6
     pol = make_policy([0.225, 0.1], [1.0, 1.0], CH)
-    rep = simulate(SimConfig(policy=pol, channel=CH, slots=slots, seed=2718,
-                             burst_bound=1))
+    rep = simulate(SimConfig(policy=pol, channel=CH, slots=slots, seed=2718))
     pi = steady_state_for(pol.eps)
     gamma_r = achieved_loss_rate(pol.eps, pi)
     assert abs(rep.empirical_gamma - gamma_r) < 4 * math.sqrt(gamma_r * (1 - gamma_r) / slots)

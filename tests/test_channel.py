@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -91,12 +89,6 @@ def test_max_rate_values():
     assert max_rate(100.0, CH) == pytest.approx(LOG2_101, rel=1e-14)
 
 
-def test_max_rate_reference_gain_override():
-    assert max_rate(100.0, CH, reference_gain=0.5) == pytest.approx(
-        math.log2(51.0), rel=1e-14
-    )
-
-
 def test_general_noise_and_fading_scaling():
     # power scales as N0/Omega at fixed (eps, rate)
     base = power_for_outage(0.2, 1.5, CH)
@@ -112,5 +104,3 @@ def test_channel_model_validation():
         ChannelModel(mean_fading_power=0.0)
     with pytest.raises(ValueError, match="noise_power"):
         ChannelModel(noise_power=-1.0)
-    with pytest.raises(ValueError, match="unsupported fading kind"):
-        ChannelModel(kind="nakagami")

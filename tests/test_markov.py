@@ -4,19 +4,10 @@ import pytest
 from fadepower.markov import (
     achieved_loss_rate,
     build_transition_matrix,
+    product_form,
     steady_state,
     steady_state_for,
 )
-
-
-def product_form_pi(eps):
-    """Independent oracle: unnormalized pi_j = prod_{k<j} eps_k, with the
-    terminal state weighted by 1/(1-eps_N) for its self-loop."""
-    eps = np.asarray(eps, dtype=float)
-    w = np.ones_like(eps)
-    w[1:] = np.cumprod(eps[:-1])
-    w[-1] /= 1.0 - eps[-1]
-    return w / w.sum()
 
 
 def test_matrix_two_states():
@@ -61,12 +52,23 @@ def test_steady_lossless_limit():
 
 
 def test_steady_matches_product_form():
+    # the dense solve of pi = pi A is the independent reference of the
+    # product form that steady_state_for runs
     rng = np.random.default_rng(11)
     for _ in range(300):
         n = int(rng.integers(1, 11))
         eps = rng.uniform(0.001, 0.999, n + 1)
-        pi = steady_state_for(eps)
-        assert np.max(np.abs(pi - product_form_pi(eps))) < 1e-10
+        dense = steady_state(build_transition_matrix(eps))
+        assert np.max(np.abs(steady_state_for(eps) - dense)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 30])
+def test_product_form_of_a_block_equals_its_rows(n):
+    # one call over a block of rows gives each row's pi bit for bit
+    e = np.random.default_rng(n).uniform(1e-6, 1.0 - 1e-6, size=(50, n + 1))
+    block = product_form(e)
+    assert block.shape == e.shape
+    assert np.array_equal(block, np.array([steady_state_for(row) for row in e]))
 
 
 def test_steady_two_state_closed_form():

@@ -20,7 +20,6 @@ def sim(policy, slots, seed=0, burn_in=1000, channel=CH):
             channel=channel,
             slots=slots,
             seed=seed,
-            burst_bound=policy.n_states,
             burn_in=burn_in,
         )
     )
@@ -118,11 +117,12 @@ def test_single_slot_report_well_formed():
 def test_config_validation():
     pol = ref_policy()
     with pytest.raises(ValueError, match="slots"):
-        SimConfig(policy=pol, channel=CH, slots=0, seed=0, burst_bound=1)
+        SimConfig(policy=pol, channel=CH, slots=0, seed=0)
     with pytest.raises(ValueError, match="burn_in"):
-        SimConfig(policy=pol, channel=CH, slots=10, seed=0, burst_bound=1, burn_in=-1)
-    with pytest.raises(ValueError, match="burst_bound"):
-        SimConfig(policy=pol, channel=CH, slots=10, seed=0, burst_bound=2)
+        SimConfig(policy=pol, channel=CH, slots=10, seed=0, burn_in=-1)
+    # the burst bound is the policy's own N; validate rejects a spec of another N
+    with pytest.raises(ValueError, match="policy has N=1 but spec has N=3"):
+        validate(pol, spec_for(make_policy(LOWLOSS, [1.0] * 4, CH)), 10, 0)
 
 
 def spec_for(pol, eps_out=0.1):
@@ -193,7 +193,7 @@ def test_occupancy_converges_across_seeds():
 def reference_simulate(cfg):
     """The per-slot definition of simulate(): one Python step per slot."""
     policy = cfg.policy
-    n = cfg.burst_bound
+    n = cfg.policy.n_states
     ch = cfg.channel
     thresholds = []
     for p, r in zip(policy.powers, policy.rates):
@@ -287,16 +287,14 @@ def test_walk_matches_per_slot_definition(monkeypatch, name, burn_in):
         monkeypatch.setattr(simulator, "_SCALAR_FINISH", finish)
         for slots in (1, 7, 1000):
             for seed in (0, 1):
-                cfg = SimConfig(policy=pol, channel=CH, slots=slots, seed=seed,
-                                burst_bound=pol.n_states, burn_in=burn_in)
+                cfg = SimConfig(policy=pol, channel=CH, slots=slots, seed=seed, burn_in=burn_in)
                 assert simulate(cfg) == reference_simulate(cfg), (finish, slots, seed)
 
 
 @pytest.mark.parametrize("name", ["n3", "n10", "zero_power", "eps_0999"])
 def test_walk_matches_per_slot_definition_across_full_chunks(name):
     pol = WALK_POLICIES[name]
-    cfg = SimConfig(policy=pol, channel=CH, slots=2 * simulator._CHUNK + 12_345, seed=7,
-                    burst_bound=pol.n_states, burn_in=1000)
+    cfg = SimConfig(policy=pol, channel=CH, slots=2 * simulator._CHUNK + 12_345, seed=7, burn_in=1000)
     assert simulate(cfg) == reference_simulate(cfg)
 
 
