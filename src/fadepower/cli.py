@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -337,6 +338,9 @@ def _load_policy(args) -> tuple[Policy, ChannelModel, dict]:
             policy = make_policy(eps, rates, channel)
     except ValueError as exc:
         raise SpecFileError(f"{args.policy_file}: {exc}") from exc
+    for key in ("rates", "powers"):
+        if not all(math.isfinite(v) and v >= 0.0 for v in getattr(policy, key)):
+            raise SpecFileError(f"{args.policy_file}: {key} must be finite and >= 0")
     return policy, channel, vals
 
 
@@ -544,7 +548,9 @@ def cmd_sweep(args) -> int:
         row["powers"] = _join(best.best_policy.powers)
         return row
 
-    workers = args.workers or min(8, os.cpu_count() or 1, len(values))
+    workers = args.workers
+    if workers is None:
+        workers = min(8, os.cpu_count() or 1, len(values))
     if workers < 1:
         raise SpecFileError("workers must be >= 1")
     if workers == 1:

@@ -14,19 +14,28 @@ is excluded from all statistics so that the deterministic start in
 state 0 does not bias the occupancy estimates.
 
 The walk is vectorised without giving up one drawn gain per slot, so
-validation stays independent of the chain model it checks.  A slot
-whose gain clears every state's threshold succeeds whatever its state,
-so the next slot is in state 0: these "sure successes" cut the timeline
-into segments that each start in a known state.  All segments advance
-in lockstep, one numpy step per slot offset from their start; the last
-few long ones (a state with outage near 1, or with zero power) are
-finished by a plain loop, which bounds the run time.  Losses, per-state
-counts and loss runs then follow from the state array.  Gains are drawn
-chunk by chunk from one generator -- consecutive draws give the same
-stream as one large draw -- with the burn-in in chunks of its own and
-the state and open loss run carried across chunk boundaries, so memory
-stays flat in `slots`.  The report is bit-identical to the per-slot
-definition above for every configuration and seed.
+validation stays independent of the chain model it checks.  It walks
+loss runs, not slots.  A slot whose gain is below state 0's threshold (a
+"candidate") would start a run were the chain in state 0 there; the
+run's k-th slot after it is spent in state min(k, N), up to its first
+success.  For every candidate the walk finds where that run would close
+-- dense passes over the chunk for the first offsets, then the open runs
+step one offset at a time, and a stretch of offsets of one threshold
+(the terminal state's has no end) is searched for its first success.  A
+candidate that no earlier candidate's run reaches is in state 0
+whatever came before; from each such head a chain steps from a run to
+the first candidate after its closing success, and the candidates it
+meets start the true runs.  Chains step together while they end
+quickly and otherwise jump 1, 2, 4, ... runs at a time, so the run time
+stays bounded for every table.  Every statistic follows from the true
+runs' loss counts q: a run of q losses spends one slot in each state
+j < N with j <= q and max(0, q - N + 1) slots in state N, and loses on
+all but its last slot.  Gains are drawn chunk by chunk from one
+generator -- consecutive draws give the same stream as one large draw
+-- with the burn-in in chunks of its own and the open loss run carried
+across chunk boundaries, so memory stays flat in `slots`.  The report is
+bit-identical to the per-slot definition above for every configuration
+and seed.
 """
 
 from __future__ import annotations
@@ -83,12 +92,18 @@ class SimReport:
 
 # Slots drawn and walked at a time; memory does not grow with `slots`.
 _CHUNK = 1 << 16
-# Segments still open when no more than this many remain are finished
-# slot by slot in Python: one numpy step would cost more than it saves.
-_SCALAR_FINISH = 64
+# Rough costs, in slots gathered, that choose among equivalent ways to
+# walk a chunk: one numpy step costs about _STEP_SLOTS, one pass over the
+# chunk about 1/_PASS_SHARE of its slots, and a search for the first
+# success about _SEARCH_PASSES passes.  No result depends on them.
+_STEP_SLOTS = 256
+_PASS_SHARE = 16
+_SEARCH_PASSES = 4
+# The walk selects with np.flatnonzero and integer indexing: indexing by
+# a boolean mask is several times slower when the mask is irregular.
 
 
-def _thresholds(policy: Policy, ch: ChannelModel) -> np.ndarray:
+def _thresholds(policy: Policy, ch: ChannelModel) -> list[float]:
     """Per-state gain below which a packet is lost (0: never, inf: always)."""
     thresholds = []
     for p, r in zip(policy.powers, policy.rates):
@@ -98,39 +113,165 @@ def _thresholds(policy: Policy, ch: ChannelModel) -> np.ndarray:
             thresholds.append(math.inf)
         else:
             thresholds.append((2.0**r - 1.0) * ch.noise_power / (p * ch.mean_fading_power))
-    return np.array(thresholds)
+    return thresholds
 
 
-def _walk(gains: np.ndarray, thr: np.ndarray, nxt: np.ndarray, state: int) -> np.ndarray:
-    """Loss state of every slot of `gains`, the first slot entered in `state`.
+def _offset_blocks(thr: list[float]) -> list[tuple[int, int | None, float]]:
+    """Offsets k >= 1 of a run begun in state 0, grouped by threshold.
 
-    nxt[i] is the state after a loss in state i.  Segments run from the
-    slot after a sure success (or the first slot) through the next sure
-    success (or the last slot).
+    Offset k of a run is spent in state min(k, N).  Each (k0, k1, theta)
+    covers the offsets k0 <= k < k1 of one threshold; the last block,
+    the terminal state's, has k1 None and no end.
+    """
+    n = len(thr) - 1
+    blocks = []
+    k0 = 1
+    for k in range(2, n + 1):
+        if thr[k] != thr[k0]:
+            blocks.append((k0, k, thr[k0]))
+            k0 = k
+    blocks.append((k0, None, thr[n]))
+    return blocks
+
+
+def _first_at_or_after(gains: np.ndarray, theta: float, t: np.ndarray) -> np.ndarray:
+    """First slot at or after each of `t` whose gain is >= theta (gains.size if none)."""
+    hits = np.flatnonzero(gains >= theta)
+    return np.append(hits, gains.size)[np.searchsorted(hits, t)]
+
+
+def _run_ends(gains: np.ndarray, mask: np.ndarray, cand: np.ndarray, blocks) -> np.ndarray:
+    """First success of a loss run begun in state 0 at each slot of `cand`.
+
+    cand holds the slots of `mask`, in order: those whose gain is below
+    state 0's threshold.  The result is gains.size where a run is still
+    lost at the end of gains.  While many runs are open, offsets are
+    tested in dense passes over the chunk, at most _SEARCH_PASSES in one
+    block; then the open runs step one offset at a time, and a block
+    with more offsets left (the terminal state's has no end) is searched
+    for its first success once stepping has cost about as much as a pass.
     """
     size = gains.size
-    states = np.empty(size, dtype=nxt.dtype)
-    cuts = np.flatnonzero(gains >= thr.max()) + 1  # after each sure success
-    pos = np.concatenate(([0], cuts))
-    end = np.append(cuts, size)
-    cur = np.zeros(pos.size, dtype=nxt.dtype)
-    cur[0] = state
-    if pos[-1] == size:  # the last slot is a sure success: no segment after it
-        pos, end, cur = pos[:-1], end[:-1], cur[:-1]
-    while pos.size > _SCALAR_FINISH:
-        states[pos] = cur
-        cur = nxt[cur] * (gains[pos] < thr[cur])
-        pos += 1
-        live = pos < end
-        pos, end, cur = pos[live], end[live], cur[live]
-    thr_l, nxt_l = thr.tolist(), nxt.tolist()
-    for p, e, s in zip(pos.tolist(), end.tolist(), cur.tolist()):
-        seg = []
-        for g in gains[p:e].tolist():
-            seg.append(s)
-            s = nxt_l[s] if g < thr_l[s] else 0
-        states[p:e] = seg
-    return states
+    b, k = 0, 1
+    if cand.size * _PASS_SHARE >= size:
+        alive = mask.copy()
+        lost = np.empty(size, dtype=bool)
+        passed = np.zeros(size, dtype=np.uint8)  # offsets survived, at most 255
+        while (
+            k < 256
+            and k - blocks[b][0] < _SEARCH_PASSES
+            and np.count_nonzero(alive) * _PASS_SHARE >= size
+        ):
+            if k < size:
+                np.less(gains[k:], blocks[b][2], out=lost[: size - k])
+                alive[: size - k] &= lost[: size - k]
+            passed += alive
+            k += 1
+            if k == blocks[b][1]:
+                b += 1
+        ends = cand + 1
+        ends += passed[cand]
+        idx = np.flatnonzero(alive[cand])
+        ends[idx] = size
+    else:
+        ends = np.full(cand.size, size)
+        idx = np.arange(cand.size)
+    if not idx.size:
+        return ends
+    t = cand[idx] + k
+    for _, k1, theta in blocks[b:]:
+        spent = 0
+        while idx.size and (k1 is None or k < k1):
+            if t[-1] >= size:  # runs that reach the end of gains stay open
+                cut = np.searchsorted(t, size)
+                idx, t = idx[:cut], t[:cut]
+                continue
+            spent += idx.size + _STEP_SLOTS
+            if (k1 is None or k1 - k > 1) and spent * _PASS_SHARE > size:
+                first = _first_at_or_after(gains, theta, t)
+                if k1 is None:
+                    ends[idx] = first
+                    return ends
+                won = np.flatnonzero(first < t + (k1 - k))
+                ends[idx[won]] = first[won]
+                keep = np.flatnonzero(first >= t + (k1 - k))
+                idx, t, k = idx[keep], t[keep] + (k1 - k), k1
+                break
+            lost = gains[t] < theta
+            won = np.flatnonzero(~lost)
+            ends[idx[won]] = t[won]
+            keep = np.flatnonzero(lost)
+            idx, t = idx[keep], t[keep] + 1
+            k += 1
+    return ends
+
+
+def _close_open_run(gains: np.ndarray, run_len: int, thr: list[float]) -> int:
+    """First success of a run entering gains with `run_len` losses (gains.size if none)."""
+    n = len(thr) - 1
+    t = 0
+    for k in range(run_len, n):
+        if t == gains.size or gains[t] >= thr[k]:
+            return t
+        t += 1
+    hits = np.flatnonzero(gains[t:] >= thr[n])
+    return t + int(hits[0]) if hits.size else gains.size
+
+
+def _true_runs(mask: np.ndarray, cand: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Mask of the candidates that start a run: those reached in state 0.
+
+    A candidate that no earlier candidate's run reaches is in state 0
+    whatever came before, so these heads start runs.  From a run the
+    chain moves to the first candidate after its closing success, until
+    it meets the next head.  The chains step together while they end
+    quickly; then jumps of 1, 2, 4, ... runs from every run found so far
+    mark the rest in as many rounds as the longest chain has bits.
+    """
+    size = cand.size
+    runs = np.empty(size, dtype=bool)
+    runs[0] = True
+    np.less(np.maximum.accumulate(ends)[:-1], cand[1:], out=runs[1:])
+    cur = np.flatnonzero(runs)
+    stop = np.append(cur[1:], size)  # the next head
+    heads, steps, spent = cur.size, 0, 0
+    while True:
+        # a candidate after the closing success and before the next head
+        more = np.flatnonzero(cand[stop - 1] > ends[cur])
+        cur, stop = cur[more], stop[more]
+        if not cur.size:
+            return runs
+        steps += 1
+        spent += cur.size + _STEP_SLOTS
+        # steps left if chains keep ending at the rate they have so far;
+        # the jumps cost about a pass of the chunk's slots
+        shrink = math.log(heads / cur.size)
+        left = steps * math.log(cur.size) / shrink if shrink > 0.0 else math.inf
+        if spent + left * _STEP_SLOTS > mask.size:
+            break
+        cur = np.searchsorted(cand, ends[cur], side="right")
+        runs[cur] = True
+    # the candidates up to each closing success, and size past the last
+    jump = np.append(np.cumsum(mask), size)[np.append(ends, mask.size)]
+    mark = np.append(runs, True)
+    reached = np.flatnonzero(runs)
+    while True:
+        new = jump[reached]
+        new = new[np.flatnonzero(~mark[new])]
+        if not new.size:
+            return mark[:-1]
+        mark[new] = True
+        reached = np.flatnonzero(mark[:-1])
+        jump = jump[jump]
+
+
+def _add_run(slots: np.ndarray, losses: np.ndarray, a: int, b: int, closed: bool) -> None:
+    """Tally offsets a <= k < b of one run; all but a closing last are losses."""
+    n = slots.size - 1
+    for counts, end in ((slots, b), (losses, b - closed)):
+        if a < n:
+            counts[a : min(end, n)] += 1
+        counts[n] += max(0, end - max(a, n))
 
 
 def simulate(cfg: SimConfig) -> SimReport:
@@ -139,37 +280,63 @@ def simulate(cfg: SimConfig) -> SimReport:
     n = policy.n_states
     ch = cfg.channel
     thr = _thresholds(policy, ch)
-    nxt = np.minimum(np.arange(1, n + 2), n).astype(np.min_scalar_type(n))
+    blocks = _offset_blocks(thr)
 
     rng = np.random.default_rng(cfg.seed)
+    buf = np.empty(min(_CHUNK, max(cfg.burn_in, cfg.slots)))
     slots_in = np.zeros(n + 1, dtype=np.int64)
     losses_in = np.zeros(n + 1, dtype=np.int64)
-    hist: dict[int, int] = {}
+    lengths = np.zeros(1, dtype=np.int64)  # runs begun and closed in the window, by losses
+    hist: dict[int, int] = {}  # other runs closed in the window
     run_len = 0  # the loss run still open, carried across chunks
     # burn-in and counted slots never share a chunk
     for total, counted in ((cfg.burn_in, False), (cfg.slots, True)):
         for start in range(0, total, _CHUNK):
             size = min(_CHUNK, total - start)
-            gains = rng.exponential(ch.mean_fading_power, size=size)
-            states = _walk(gains, thr, nxt, min(run_len, n))
-            # a slot is lost exactly when the next one is not in state 0
-            # (N >= 1, so a loss never leads back to state 0)
-            lost = np.empty(size, dtype=bool)
-            np.not_equal(states[1:], 0, out=lost[:-1])
-            lost[-1] = gains[-1] < thr[states[-1]]
-            successes = np.flatnonzero(~lost)
-            if counted:
-                slots_in += np.bincount(states, minlength=n + 1)
-                losses_in += np.bincount(states[lost], minlength=n + 1)
-                if successes.size:
-                    runs = np.diff(successes, prepend=-1) - 1
-                    runs[0] += run_len
-                    keys, counts = np.unique(runs[runs > 0], return_counts=True)
-                    for k, c in zip(keys.tolist(), counts.tolist()):
-                        hist[k] = hist.get(k, 0) + c
-            run_len = size - 1 - int(successes[-1]) if successes.size else run_len + size
+            gains = rng.standard_exponential(out=buf[:size])
+            gains *= ch.mean_fading_power  # the stream of rng.exponential
+            close = -1
+            if run_len:
+                close = _close_open_run(gains, run_len, thr)
+                closed = close < size
+                if counted:
+                    _add_run(slots_in, losses_in, run_len, run_len + close + closed, closed)
+                    if closed:
+                        hist[run_len + close] = hist.get(run_len + close, 0) + 1
+                run_len = 0 if closed else run_len + size
+            mask = gains < thr[0]  # a loss, were the slot in state 0
+            mask[: close + 1] = False
+            cand = np.flatnonzero(mask)
+            if not cand.size:
+                continue
+            ends = _run_ends(gains, mask, cand, blocks)
+            runs = np.flatnonzero(_true_runs(mask, cand, ends))
+            first, ends = cand[runs], ends[runs]
+            if ends[-1] == size:  # the last run is still open
+                run_len = size - int(first[-1])
+                if counted:
+                    _add_run(slots_in, losses_in, 0, run_len, False)
+                first, ends = first[:-1], ends[:-1]
+            if counted and ends.size:
+                counts = np.bincount(ends - first)
+                if counts.size > lengths.size:
+                    counts[: lengths.size] += lengths
+                    lengths = counts
+                else:
+                    lengths[: counts.size] += counts
     if run_len > 0:
         hist[run_len] = hist.get(run_len, 0) + 1
+    # a run of q losses spends offset k in state min(k, N) for k <= q and
+    # loses at every offset but the last; at_least[j] counts runs with q >= j
+    at_least = np.zeros(max(lengths.size, n + 2), dtype=np.int64)
+    at_least[: lengths.size] = np.cumsum(lengths[::-1])[::-1]
+    slots_in[:n] += at_least[:n]
+    losses_in[:n] += at_least[1 : n + 1]
+    slots_in[n] += at_least[n:].sum()
+    losses_in[n] += at_least[n + 1 :].sum()
+    slots_in[0] += cfg.slots - slots_in.sum()  # the successes of state 0
+    for q in np.flatnonzero(lengths).tolist():
+        hist[q] = hist.get(q, 0) + int(lengths[q])
     slots_in = slots_in.tolist()
     losses_in = losses_in.tolist()
 

@@ -219,6 +219,24 @@ def test_simulate_rejects_malformed_policy(tmp_path, capsys):
     assert "eps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        pytest.param("rates = 1;1\npowers = -5;3\n", id="negative_power"),
+        pytest.param("rates = 1;1\npowers = 5;nan\n", id="nan_power"),
+        pytest.param("rates = 1;1\npowers = 5;inf\n", id="inf_power"),
+        pytest.param("rates = -1;1\npowers = 5;3\n", id="negative_rate"),
+        pytest.param("rates = nan;1\n", id="nan_rate"),
+        pytest.param("rates = inf;1\npowers = 5;3\n", id="inf_rate"),
+    ],
+)
+def test_simulate_rejects_negative_or_nonfinite_power_or_rate(tmp_path, capsys, fields):
+    pol = write(tmp_path / "pol.txt", "eps = 0.225;0.1\n" + fields)
+    assert main(["simulate", pol, "--slots", "100"]) == 1
+    err = capsys.readouterr().err
+    assert "rate" in err or "power" in err
+
+
 def test_sweep_csv_contract(tmp_path):
     spec = write(
         tmp_path / "spec.txt",
@@ -292,3 +310,10 @@ def test_sweep_rejects_bad_ranges(tmp_path, capsys):
     capsys.readouterr()
     assert main(["sweep", "n", "1.5,2", spec]) == 1
     assert "integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    spec = write(tmp_path / "spec.txt", "n = 1\nrate = 1\neps_out = 0.1\n")
+    assert main(["sweep", "eps_out", "0.1,0.2", spec, "--workers", workers]) == 1
+    assert "workers must be >= 1" in capsys.readouterr().err

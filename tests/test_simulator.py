@@ -275,6 +275,8 @@ WALK_POLICIES = {
     "eps_0999": fixed_rate((0.5, 0.999, 0.3)),
     # more states than one byte can number
     "n300": fixed_rate((0.999,) * 301),
+    # offsets of one threshold between others, searched as one block
+    "plateau": fixed_rate((0.3, 0.6, 0.6, 0.6, 0.9, 0.9, 0.2)),
 }
 
 
@@ -283,12 +285,10 @@ WALK_POLICIES = {
 def test_walk_matches_per_slot_definition(monkeypatch, name, burn_in):
     pol = WALK_POLICIES[name]
     monkeypatch.setattr(simulator, "_CHUNK", 64)
-    for finish in (0, 8):
-        monkeypatch.setattr(simulator, "_SCALAR_FINISH", finish)
-        for slots in (1, 7, 1000):
-            for seed in (0, 1):
-                cfg = SimConfig(policy=pol, channel=CH, slots=slots, seed=seed, burn_in=burn_in)
-                assert simulate(cfg) == reference_simulate(cfg), (finish, slots, seed)
+    for slots in (1, 7, 1000):
+        for seed in (0, 1):
+            cfg = SimConfig(policy=pol, channel=CH, slots=slots, seed=seed, burn_in=burn_in)
+            assert simulate(cfg) == reference_simulate(cfg), (slots, seed)
 
 
 @pytest.mark.parametrize("name", ["n3", "n10", "zero_power", "eps_0999"])
@@ -296,6 +296,47 @@ def test_walk_matches_per_slot_definition_across_full_chunks(name):
     pol = WALK_POLICIES[name]
     cfg = SimConfig(policy=pol, channel=CH, slots=2 * simulator._CHUNK + 12_345, seed=7, burn_in=1000)
     assert simulate(cfg) == reference_simulate(cfg)
+
+
+def random_table(index):
+    """A seeded random table: N 1-12, outages log-uniform in [1e-3, 0.999].
+
+    Every other table repeats outages over stretches of states, every
+    fourth sends nothing in one state (zero rate: never lost) and every
+    fifth sends with no power in one (zero power: always lost).
+    """
+    rng = np.random.default_rng(1000 + index)
+    n = int(rng.integers(1, 13))
+    eps = np.exp(rng.uniform(math.log(1e-3), math.log(0.999), n + 1))
+    if index % 2 == 0:
+        for _ in range(2):
+            lo = int(rng.integers(0, n + 1))
+            eps[lo : int(rng.integers(lo, n + 2))] = eps[lo]
+    pol = make_policy(eps, rng.uniform(0.2, 2.0, n + 1), CH)
+    eps, rates, powers = list(pol.eps), list(pol.rates), list(pol.powers)
+    if index % 4 == 0:
+        j = int(rng.integers(0, n + 1))
+        eps[j], rates[j], powers[j] = 0.0, 0.0, 0.0
+    if index % 5 == 0:
+        j = int(rng.integers(0, n + 1))
+        eps[j], powers[j] = 1.0, 0.0
+    return Policy(eps=tuple(eps), rates=tuple(rates), powers=tuple(powers))
+
+
+@pytest.mark.parametrize("index", range(40))
+def test_walk_matches_per_slot_definition_on_random_tables(monkeypatch, index):
+    pol = random_table(index)
+    monkeypatch.setattr(simulator, "_CHUNK", 64)
+    shares = (0, simulator._PASS_SHARE, 1 << 20)
+    for slots in (1, 63, 64, 65, 1000):
+        for burn_in in (0, 1, 63, 1000):
+            cfg = SimConfig(policy=pol, channel=CH, slots=slots, seed=index, burn_in=burn_in)
+            expected = reference_simulate(cfg)
+            # 0: runs and chains step one offset or run at a time; 1 << 20:
+            # dense passes, searches for the first success, and jumps
+            for share in shares:
+                monkeypatch.setattr(simulator, "_PASS_SHARE", share)
+                assert simulate(cfg) == expected, (slots, burn_in, share)
 
 
 def test_histogram_keys_increase():
