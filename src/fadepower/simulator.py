@@ -244,7 +244,7 @@ def _true_runs(mask: np.ndarray, cand: np.ndarray, ends: np.ndarray) -> np.ndarr
         steps += 1
         spent += cur.size + _STEP_SLOTS
         # steps left if chains keep ending at the rate they have so far;
-        # the jumps cost about a pass of the chunk's slots
+        # the jumps cost about as much as gathering every slot of the chunk
         shrink = math.log(heads / cur.size)
         left = steps * math.log(cur.size) / shrink if shrink > 0.0 else math.inf
         if spent + left * _STEP_SLOTS > mask.size:

@@ -332,8 +332,8 @@ def test_walk_matches_per_slot_definition_on_random_tables(monkeypatch, index):
         for burn_in in (0, 1, 63, 1000):
             cfg = SimConfig(policy=pol, channel=CH, slots=slots, seed=index, burn_in=burn_in)
             expected = reference_simulate(cfg)
-            # 0: runs and chains step one offset or run at a time; 1 << 20:
-            # dense passes, searches for the first success, and jumps
+            # 0: open runs step one offset at a time; 1 << 20: dense passes,
+            # then a search for the first success
             for share in shares:
                 monkeypatch.setattr(simulator, "_PASS_SHARE", share)
                 assert simulate(cfg) == expected, (slots, burn_in, share)
