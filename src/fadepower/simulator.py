@@ -134,12 +134,6 @@ def _offset_blocks(thr: list[float]) -> list[tuple[int, int | None, float]]:
     return blocks
 
 
-def _first_at_or_after(gains: np.ndarray, theta: float, t: np.ndarray) -> np.ndarray:
-    """First slot at or after each of `t` whose gain is >= theta (gains.size if none)."""
-    hits = np.flatnonzero(gains >= theta)
-    return np.append(hits, gains.size)[np.searchsorted(hits, t)]
-
-
 def _run_ends(gains: np.ndarray, mask: np.ndarray, cand: np.ndarray, blocks) -> np.ndarray:
     """First success of a loss run begun in state 0 at each slot of `cand`.
 
@@ -188,7 +182,8 @@ def _run_ends(gains: np.ndarray, mask: np.ndarray, cand: np.ndarray, blocks) -> 
                 continue
             spent += idx.size + _STEP_SLOTS
             if (k1 is None or k1 - k > 1) and spent * _PASS_SHARE > size:
-                first = _first_at_or_after(gains, theta, t)
+                hits = np.append(np.flatnonzero(gains >= theta), size)
+                first = hits[np.searchsorted(hits, t)]
                 if k1 is None:
                     ends[idx] = first
                     return ends
