@@ -25,12 +25,12 @@ step one offset at a time, and a stretch of offsets of one threshold
 candidate that no earlier candidate's run reaches is in state 0
 whatever came before; from each such head a chain steps from a run to
 the first candidate after its closing success, and the candidates it
-meets start the true runs.  Chains step together while they end
-quickly and otherwise jump 1, 2, 4, ... runs at a time, so the run time
-stays bounded for every table.  Every statistic follows from the true
-runs' loss counts q: a run of q losses spends one slot in each state
-j < N with j <= q and max(0, q - N + 1) slots in state N, and loses on
-all but its last slot.  Gains are drawn chunk by chunk from one
+meets start the true runs.  The chains are followed by pointer
+doubling, 1, 2, 4, ... runs at a time, so the run time stays bounded
+for every table.  Every statistic follows from the true runs' loss
+counts q: a run of q losses spends one slot in each state j < N with
+j <= q and max(0, q - N + 1) slots in state N, and loses on all but
+its last slot.  Gains are drawn chunk by chunk from one
 generator -- consecutive draws give the same stream as one large draw
 -- with the burn-in in chunks of its own and the open loss run carried
 across chunk boundaries, so memory stays flat in `slots`.  The report is
@@ -90,13 +90,17 @@ class SimReport:
     state_losses: tuple[int, ...]
 
 
-# Slots drawn and walked at a time; memory does not grow with `slots`.
+# Slots drawn and walked at a time; memory does not grow with `slots`,
+# and slot indices within a chunk fit in int32.
 _CHUNK = 1 << 16
-# Rough costs, in slots gathered, that choose among equivalent ways to
-# walk a chunk: one numpy step costs about _STEP_SLOTS, one pass over the
-# chunk about 1/_PASS_SHARE of its slots, and a search for the first
-# success about _SEARCH_PASSES passes.  No result depends on them.
-_STEP_SLOTS = 256
+# Two costs that choose among equivalent ways to walk a chunk; no result
+# depends on them.  A pass over the chunk costs about as much as
+# gathering 1/_PASS_SHARE of its slots, and a search for the first
+# success about _SEARCH_PASSES passes.  Measured at 10^6 slots on the
+# test tables (tests/test_simulator.py WALK_POLICIES and a flat N=30
+# table, 2-core x86 host): with _PASS_SHARE 4, n1, n10 and flat30 run
+# 1.2-1.3x slower, and 64 runs as fast as 16; with _SEARCH_PASSES 1,
+# flat30 and plateau run 1.35-1.4x slower, and with no cap n300 2.7x.
 _PASS_SHARE = 16
 _SEARCH_PASSES = 4
 # The walk selects with np.flatnonzero and integer indexing: indexing by
@@ -144,6 +148,10 @@ def _run_ends(gains: np.ndarray, mask: np.ndarray, cand: np.ndarray, blocks) -> 
     block; then the open runs step one offset at a time, and a block
     with more offsets left (the terminal state's has no end) is searched
     for its first success once stepping has cost about as much as a pass.
+    Each way pays for itself on some table (10^6 slots, the tables and
+    host named at _PASS_SHARE): without the dense passes flat30,
+    eps_0999, n1 and plateau run 1.3-1.6x slower, without stepping n3
+    1.7x slower, and without the search n10 1.4x and n300 over 100x.
     """
     size = gains.size
     b, k = 0, 1
@@ -168,7 +176,7 @@ def _run_ends(gains: np.ndarray, mask: np.ndarray, cand: np.ndarray, blocks) -> 
         idx = np.flatnonzero(alive[cand])
         ends[idx] = size
     else:
-        ends = np.full(cand.size, size)
+        ends = np.full(cand.size, size, dtype=cand.dtype)
         idx = np.arange(cand.size)
     if not idx.size:
         return ends
@@ -180,7 +188,7 @@ def _run_ends(gains: np.ndarray, mask: np.ndarray, cand: np.ndarray, blocks) -> 
                 cut = np.searchsorted(t, size)
                 idx, t = idx[:cut], t[:cut]
                 continue
-            spent += idx.size + _STEP_SLOTS
+            spent += idx.size
             if (k1 is None or k1 - k > 1) and spent * _PASS_SHARE > size:
                 hits = np.append(np.flatnonzero(gains >= theta), size)
                 first = hits[np.searchsorted(hits, t)]
@@ -214,49 +222,38 @@ def _close_open_run(gains: np.ndarray, run_len: int, thr: list[float]) -> int:
 
 
 def _true_runs(mask: np.ndarray, cand: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Mask of the candidates that start a run: those reached in state 0.
+    """Indices into cand of the candidates that start a run: those reached in state 0.
 
     A candidate that no earlier candidate's run reaches is in state 0
     whatever came before, so these heads start runs.  From a run the
     chain moves to the first candidate after its closing success, until
-    it meets the next head.  The chains step together while they end
-    quickly; then jumps of 1, 2, 4, ... runs from every run found so far
-    mark the rest in as many rounds as the longest chain has bits.
+    it meets the next head.  Jumps of 1, 2, 4, ... runs from every run
+    found so far mark the rest in as many rounds as the longest chain
+    has bits.
     """
     size = cand.size
-    runs = np.empty(size, dtype=bool)
-    runs[0] = True
-    np.less(np.maximum.accumulate(ends)[:-1], cand[1:], out=runs[1:])
-    cur = np.flatnonzero(runs)
-    stop = np.append(cur[1:], size)  # the next head
-    heads, steps, spent = cur.size, 0, 0
-    while True:
-        # a candidate after the closing success and before the next head
-        more = np.flatnonzero(cand[stop - 1] > ends[cur])
-        cur, stop = cur[more], stop[more]
-        if not cur.size:
-            return runs
-        steps += 1
-        spent += cur.size + _STEP_SLOTS
-        # steps left if chains keep ending at the rate they have so far;
-        # the jumps cost about as much as gathering every slot of the chunk
-        shrink = math.log(heads / cur.size)
-        left = steps * math.log(cur.size) / shrink if shrink > 0.0 else math.inf
-        if spent + left * _STEP_SLOTS > mask.size:
-            break
-        cur = np.searchsorted(cand, ends[cur], side="right")
-        runs[cur] = True
-    # the candidates up to each closing success, and size past the last
-    jump = np.append(np.cumsum(mask), size)[np.append(ends, mask.size)]
-    mark = np.append(runs, True)
-    reached = np.flatnonzero(runs)
+    mark = np.empty(size + 1, dtype=bool)
+    mark[0] = mark[size] = True  # size stands past the last candidate
+    np.less(np.maximum.accumulate(ends)[:-1], cand[1:], out=mark[1:size])
+    reached = np.flatnonzero(mark[:size])
+    # most chains end at their head's run: it closes after the last
+    # candidate before the next head.  Then the table below, which costs
+    # a pass over the chunk, is not needed.
+    if not np.any(cand[np.append(reached[1:], size) - 1] > ends[reached]):
+        return reached
+    # the first candidate after each closing success, and size past the last
+    jump = np.empty(mask.size + 1, dtype=np.int32)
+    jump[:-1] = mask
+    np.cumsum(jump[:-1], out=jump[:-1])  # in place: no chunk-sized temporary
+    jump[-1] = size
+    jump = jump[np.append(ends, np.int32(mask.size))]
     while True:
         new = jump[reached]
         new = new[np.flatnonzero(~mark[new])]
         if not new.size:
-            return mark[:-1]
+            return reached
         mark[new] = True
-        reached = np.flatnonzero(mark[:-1])
+        reached = np.flatnonzero(mark[:size])
         jump = jump[jump]
 
 
@@ -301,11 +298,11 @@ def simulate(cfg: SimConfig) -> SimReport:
                 run_len = 0 if closed else run_len + size
             mask = gains < thr[0]  # a loss, were the slot in state 0
             mask[: close + 1] = False
-            cand = np.flatnonzero(mask)
+            cand = np.flatnonzero(mask).astype(np.int32)
             if not cand.size:
                 continue
             ends = _run_ends(gains, mask, cand, blocks)
-            runs = np.flatnonzero(_true_runs(mask, cand, ends))
+            runs = _true_runs(mask, cand, ends)
             first, ends = cand[runs], ends[runs]
             if ends[-1] == size:  # the last run is still open
                 run_len = size - int(first[-1])
