@@ -65,7 +65,12 @@ before searching.
   live start as one batch.  A start takes its best move when that lowers
   its power by more than 1e-9 relative and divides its step h by 4
   otherwise, from h = 4 until h < 1e-4; a start that fails a move while
-  1% above the cheapest start stops.
+  1% above the cheapest start stops.  Each start keeps its row u = s(z),
+  so a move's row is its start's row with only the moved coordinate put
+  through s, which is the row s(z) gives, bit for bit, since s acts on
+  each coordinate alone.  The batch's cheapest move (the first on a tie)
+  is offered as the running best, and a start's best move is written
+  into its z and u from the batch.
 * Rounds: a round after the first runs only while nothing feasible has
   been found or the round before lowered the best (its exploration
   starts ended below every table known before them, the polished family
@@ -73,10 +78,12 @@ before searching.
   run time of a solve for every input.
 * Blocks: each batch (257 N family rows, an exploration round, 8 (N + 1)
   moves per live start) is built and evaluated in blocks of about 2^17
-  outages, in row order, so a solve holds one block of rows at a time and
-  grows with the batch and N only by one power per row.  The power of a row depends on that row alone, and the
-  cheapest rows of a batch are taken first by power and then by row, so
-  no result depends on the block size.
+  outages, in row order, at every N, so a solve holds one block of rows
+  at a time and grows with the batch and N only by one power per row
+  (and, in the polish, one logit and one logistic value per move).  The
+  power of a row depends on that row alone, and the cheapest rows of a
+  batch are taken first by power and then by row, so no result depends
+  on the block size.
 * Certificates, checked before searching.  Fixed rate: ValueError when
   the power whose outage at R is eps_out exceeds P_m (the terminal-power
   window is empty), and NoFeasibleSolution(0) when min(eps_out, 1 -
@@ -385,28 +392,38 @@ class _Search:
         Rows are built and evaluated in blocks of about _BLOCK_ELEMENTS
         outages, in row order.  Returns the powers, inf where infeasible,
         and the indices and rows of the `keep` cheapest, by power, then by
-        row; the cheapest updates the running best.
+        row; the cheapest is offered as the running best.  keep=0 selects
+        nothing and returns None for both: the polish selects from the
+        powers itself.
         """
         step = max(1, _BLOCK_ELEMENTS // self.span.size)
         p = np.empty(rows)
-        top, top_rows = np.empty(0, np.intp), np.empty((0, self.span.size))
+        picks, kept = [np.empty(0, np.intp)], [np.empty((0, self.span.size))]
         for a in range(0, rows, step):
             u = make(a, min(a + step, rows))
             block = p[a:a + len(u)]
             block[:] = self.tables(u)[2]
-            # the `keep` cheapest of the rows so far are among those of the
-            # blocks before and this block's own `keep` cheapest
-            pick = np.argsort(block, kind="stable")[:keep]
-            top = np.concatenate([top, pick + a])
-            top_rows = np.concatenate([top_rows, u[pick]])
-            order = np.lexsort((top, p[top]))[:keep]
-            top, top_rows = top[order], top_rows[order]
+            if keep:
+                # the `keep` cheapest rows are among each block's own `keep` cheapest
+                pick = np.argsort(block, kind="stable")[:keep]
+                picks.append(pick + a)
+                kept.append(u[pick])
         self.evaluated += rows
         self.feasible += int(np.count_nonzero(p < np.inf))
-        if top.size and p[top[0]] < self.best:
-            self.best, self.best_row = float(p[top[0]]), top_rows[0]
-            self.improved += 1
+        if not keep:
+            return p, None, None
+        top = np.concatenate(picks)
+        order = np.lexsort((top, p[top]))[:keep]
+        top, top_rows = top[order], np.concatenate(kept)[order]
+        if top.size:
+            self.offer(p[top[0]], top_rows[0])
         return p, top, top_rows
+
+    def offer(self, power: float, row) -> None:
+        """Take row, of the given power, as the running best when it is cheaper."""
+        if power < self.best:
+            self.best, self.best_row = float(power), row
+            self.improved += 1
 
 
 class _FixedSearch(_Search):
@@ -414,6 +431,7 @@ class _FixedSearch(_Search):
 
     def __init__(self, spec: ProblemSpec):
         super().__init__(spec, spec.avg_rate)
+        self.rates = np.empty((0, self.span.size))
 
     def tables(self, u):
         """Outages, rates and powers (inf where infeasible) of rows u."""
@@ -421,7 +439,10 @@ class _FixedSearch(_Search):
         power = np.einsum("ij,ij->i", -1.0 / np.log1p(-e), product_form(e))
         power *= 2.0**self.spec.avg_rate - 1.0
         power[~ok] = np.inf
-        return e, np.broadcast_to(self.spec.avg_rate, e.shape), power
+        if len(self.rates) < len(e):  # rows of R, sliced for every later block
+            self.rates = np.full(e.shape, self.spec.avg_rate)
+            self.rates.flags.writeable = False
+        return e, self.rates[:len(e)], power
 
     def least_eps0(self, e):
         """eps_0 >= eps_1, as the power order has it."""
@@ -455,7 +476,14 @@ class _VariableSearch(_Search):
 
 def _sigmoid(z):
     """The logistic function rescaled to map [-_LOGIT_MAX, _LOGIT_MAX] onto [0, 1]."""
-    return np.clip((1.0 / (1.0 + np.exp(-z)) - _LOGIT_FLOOR) / (1.0 - 2.0 * _LOGIT_FLOOR), 0.0, 1.0)
+    u = np.negative(z)
+    np.exp(u, out=u)
+    u += 1.0
+    np.divide(1.0, u, out=u)
+    u -= _LOGIT_FLOOR
+    u /= 1.0 - 2.0 * _LOGIT_FLOOR
+    np.maximum(u, 0.0, out=u)
+    return np.minimum(u, 1.0, out=u)
 
 
 def _polish(search: _Search, u, trace: list) -> np.ndarray:
@@ -466,31 +494,42 @@ def _polish(search: _Search, u, trace: list) -> np.ndarray:
     """
     v = u * (1.0 - 2.0 * _LOGIT_FLOOR) + _LOGIT_FLOOR
     z = np.clip(np.log(v) - np.log1p(-v), -_LOGIT_MAX, _LOGIT_MAX)
-    power = search.powers(len(z), lambda a, b: _sigmoid(z[a:b]))[0]
+    u = _sigmoid(z)  # kept equal to _sigmoid(z), coordinate by coordinate
+    power = search.powers(len(z), lambda a, b: u[a:b])[0]
     n1 = z.shape[1]
     moves = n1 * _OFFSETS.size
+    coord = np.arange(moves) // _OFFSETS.size  # the coordinate each move moves
+    moved = coord[:, None] == np.arange(n1)
     step = np.full(len(z), _STEP)
-    while (live := np.flatnonzero(step >= _MIN_STEP)).size and search.evaluated < _MAX_ROWS:
+    while (live := (step >= _MIN_STEP).nonzero()[0]).size and search.evaluated < _MAX_ROWS:
+        # move s*moves + m of the batch is start live[s] with z_d moved by
+        # step*o, (d, o) = divmod(m, len(_OFFSETS)); only that coordinate
+        # goes through the logistic, the others keep their row of u
+        zm = z.take(live, axis=0)[:, :, None] + step.take(live)[:, None, None] * _OFFSETS
+        np.maximum(zm, -_LOGIT_MAX, out=zm)
+        zm = np.minimum(zm, _LOGIT_MAX, out=zm).reshape(-1)
+        um = _sigmoid(zm)
 
-        def move(r, live=live):
-            # row r of the batch: start live[r // moves] with step*o added
-            # to coordinate d only, (d, o) = divmod(r % moves, len(_OFFSETS))
-            s, m = np.divmod(r, moves)
-            d, o = np.divmod(m, _OFFSETS.size)
-            cand = z[live[s]]
-            cand[np.arange(r.size), d] += step[live[s]] * _OFFSETS[o]
-            return np.clip(cand, -_LOGIT_MAX, _LOGIT_MAX, out=cand)
+        def move(a: int, b: int, base=u.take(live, axis=0), um=um):
+            s, m = np.divmod(np.arange(a, b), moves)
+            return np.where(moved.take(m, axis=0), um[a:b, None], base.take(s, axis=0))
 
-        p = search.powers(live.size * moves, lambda a, b: _sigmoid(move(np.arange(a, b))))[0]
-        p = p.reshape(live.size, moves)
-        j = np.argmin(p, axis=1)
-        low = p[np.arange(live.size), j]
+        p = search.powers(live.size * moves, move, keep=0)[0].reshape(live.size, moves)
+        j = p.argmin(axis=1)
+        low = p.min(axis=1)
+        s = int(low.argmin())  # the batch's cheapest move, the first on a tie
+        if low[s] < search.best:
+            row = u[live[s]].copy()
+            row[coord[j[s]]] = um[s * moves + j[s]]
+            search.offer(low[s], row)
         better = low < power[live] * (1.0 - _TOL)
-        z[live[better]] = move(np.flatnonzero(better) * moves + j[better])
-        power[live[better]] = low[better]
-        trace.append((float(step[live].max()), float(low.min()) * search.unit,
+        if better.any():
+            k = better.nonzero()[0]
+            took, at, d = k * moves + j[k], live[k], coord[j[k]]
+            z[at, d], u[at, d], power[at] = zm[took], um[took], low[k]
+        trace.append((float(step[live].max()), float(low[s]) * search.unit,
                       search.best * search.unit))
-        step[live[~better]] /= 4.0
+        step[live] /= np.where(better, 1.0, 4.0)
         # a start that has failed a move and still lies well above the best
         # start is in a worse basin: it stops
         step[(step < _STEP) & (power > power.min() * (1.0 + _DROP))] = 0.0

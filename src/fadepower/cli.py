@@ -341,6 +341,8 @@ def _load_policy(args) -> tuple[Policy, ChannelModel, dict]:
     for key in ("rates", "powers"):
         if not all(math.isfinite(v) and v >= 0.0 for v in getattr(policy, key)):
             raise SpecFileError(f"{args.policy_file}: {key} must be finite and >= 0")
+    if not all(0.0 <= v <= 1.0 for v in policy.eps):  # NaN fails too
+        raise SpecFileError(f"{args.policy_file}: eps must lie in [0, 1]")
     return policy, channel, vals
 
 

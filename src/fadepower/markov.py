@@ -23,7 +23,7 @@ def _as_outage_vector(eps) -> np.ndarray:
     arr = np.asarray(eps, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("N must be >= 1")
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):  # NaN fails both comparisons
         raise ValueError("outage probabilities must lie strictly in (0, 1)")
     return arr
 
@@ -84,7 +84,7 @@ def product_form(e) -> np.ndarray:
     w[..., 0] = 1.0
     np.cumprod(e[..., :-1], axis=-1, out=w[..., 1:])
     w[..., -1] /= 1.0 - e[..., -1]
-    w /= w.sum(axis=-1, keepdims=True)
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
     return w
 
 

@@ -30,12 +30,13 @@ doubling, 1, 2, 4, ... runs at a time, so the run time stays bounded
 for every table.  Every statistic follows from the true runs' loss
 counts q: a run of q losses spends one slot in each state j < N with
 j <= q and max(0, q - N + 1) slots in state N, and loses on all but
-its last slot.  Gains are drawn chunk by chunk from one
-generator -- consecutive draws give the same stream as one large draw
--- with the burn-in in chunks of its own and the open loss run carried
-across chunk boundaries, so memory stays flat in `slots`.  The report is
-bit-identical to the per-slot definition above for every configuration
-and seed.
+its last slot.  Gains are drawn over their mean Omega, as standard
+exponentials, and compared with thresholds over Omega.  They are drawn
+chunk by chunk from one generator -- consecutive draws give the same
+stream as one large draw -- with the burn-in in chunks of its own and
+the open loss run carried across chunk boundaries, so memory stays flat
+in `slots`.  The report is bit-identical to the per-slot definition
+above for every configuration and seed.
 """
 
 from __future__ import annotations
@@ -108,7 +109,12 @@ _SEARCH_PASSES = 4
 
 
 def _thresholds(policy: Policy, ch: ChannelModel) -> list[float]:
-    """Per-state gain below which a packet is lost (0: never, inf: always)."""
+    """Per-state gain over Omega below which a packet is lost (0: never, inf: always).
+
+    A packet at power P and rate r is lost when its gain g is below (2^r -
+    1) N0/P; the walk draws g/Omega, a standard exponential, and so
+    compares it with that threshold over Omega.
+    """
     thresholds = []
     for p, r in zip(policy.powers, policy.rates):
         if r == 0.0:
@@ -285,8 +291,8 @@ def simulate(cfg: SimConfig) -> SimReport:
     for total, counted in ((cfg.burn_in, False), (cfg.slots, True)):
         for start in range(0, total, _CHUNK):
             size = min(_CHUNK, total - start)
+            # gains over Omega, the scale _thresholds compares with
             gains = rng.standard_exponential(out=buf[:size])
-            gains *= ch.mean_fading_power  # the stream of rng.exponential
             close = -1
             if run_len:
                 close = _close_open_run(gains, run_len, thr)

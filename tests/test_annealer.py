@@ -549,6 +549,86 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, n):
         assert a == b, solver.__name__
 
 
+def reference_sigmoid(z):
+    """annealer._sigmoid as one expression, through np.clip."""
+    floor = annealer._LOGIT_FLOOR
+    return np.clip((1.0 / (1.0 + np.exp(-z)) - floor) / (1.0 - 2.0 * floor), 0.0, 1.0)
+
+
+def reference_polish(search, u, trace):
+    """annealer._polish as it was first written.
+
+    Every move row is built in full, with all of its coordinates put
+    through the logistic; _Search.powers selects each batch's cheapest row
+    (and with it the running best), and the accepted rows are built again.
+    """
+    lim, offsets = annealer._LOGIT_MAX, annealer._OFFSETS
+    v = u * (1.0 - 2.0 * annealer._LOGIT_FLOOR) + annealer._LOGIT_FLOOR
+    z = np.clip(np.log(v) - np.log1p(-v), -lim, lim)
+    power = search.powers(len(z), lambda a, b: reference_sigmoid(z[a:b]))[0]
+    moves = z.shape[1] * offsets.size
+    step = np.full(len(z), annealer._STEP)
+    while (live := np.flatnonzero(step >= annealer._MIN_STEP)).size \
+            and search.evaluated < annealer._MAX_ROWS:
+
+        def move(r, live=live):
+            s, m = np.divmod(r, moves)
+            d, o = np.divmod(m, offsets.size)
+            cand = z[live[s]]
+            cand[np.arange(r.size), d] += step[live[s]] * offsets[o]
+            return np.clip(cand, -lim, lim, out=cand)
+
+        p = search.powers(live.size * moves,
+                          lambda a, b: reference_sigmoid(move(np.arange(a, b))))[0]
+        p = p.reshape(live.size, moves)
+        j = np.argmin(p, axis=1)
+        low = p[np.arange(live.size), j]
+        better = low < power[live] * (1.0 - annealer._TOL)
+        z[live[better]] = move(np.flatnonzero(better) * moves + j[better])
+        power[live[better]] = low[better]
+        trace.append((float(step[live].max()), float(low.min()) * search.unit,
+                      search.best * search.unit))
+        step[live[~better]] /= 4.0
+        step[(step < annealer._STEP) & (power > power.min() * (1.0 + annealer._DROP))] = 0.0
+    return power
+
+
+def polish_cases():
+    """(spec, row cap or None): 36 random specs, two deep ones and two capped ones."""
+    rng = np.random.default_rng(15)
+    cases = [(random_spec(rng), None) for _ in range(36)]
+    # at N >= 60 the moves of 5 or more starts span several blocks
+    cases += [(spec1(eps_out=0.1, n=60), None), (replace(random_spec(rng), n_states=64), None)]
+    # caps between the first polish iterations of these specs
+    cases += [(spec1(eps_out=0.1, n=3), 7000), (spec1(eps_out=0.1, n=10), 9000)]
+    return cases
+
+
+@pytest.mark.parametrize("index", range(40))
+def test_polish_equals_the_reference_polish(monkeypatch, index):
+    # the polish builds each batch of moves from its starts' rows, puts only
+    # the moved coordinate through the logistic and selects from the batch
+    # itself; every result, count and trace sample is the reference's
+    spec, cap = polish_cases()[index]
+    if cap is not None:
+        monkeypatch.setattr(annealer, "_MAX_ROWS", cap)
+    for solver in (solve_fixed, solve_variable):
+        try:
+            got = solver(spec, AnnealingSchedule(seed=index))
+        except ValueError as exc:  # NoFeasibleSolution or an empty window
+            got = repr(exc)
+        with monkeypatch.context() as m:
+            m.setattr(annealer, "_polish", reference_polish)
+            try:
+                want = solver(spec, AnnealingSchedule(seed=index))
+            except ValueError as exc:
+                want = repr(exc)
+        assert got == want, solver.__name__
+        if cap is not None:
+            # the cap stopped the search inside a polish
+            assert got.evaluated_count >= cap and got.trace, solver.__name__
+
+
 def test_memory_of_one_draw_is_bounded(monkeypatch):
     # batches are built and evaluated in blocks, so the memory of a solve
     # does not grow with N.  Stacked, the family at N = 200 would take

@@ -237,6 +237,13 @@ def test_simulate_rejects_negative_or_nonfinite_power_or_rate(tmp_path, capsys, 
     assert "rate" in err or "power" in err
 
 
+@pytest.mark.parametrize("flags", [[], ["--validate"]], ids=["plain", "validate"])
+def test_simulate_rejects_nan_outages(tmp_path, capsys, flags):
+    pol = write(tmp_path / "pol.txt", "eps = nan;0.1\nrates = 1;1\npowers = 3;4\n")
+    assert main(["simulate", pol, "--slots", "100", *flags]) == 1
+    assert "eps" in capsys.readouterr().err
+
+
 def test_sweep_csv_contract(tmp_path):
     spec = write(
         tmp_path / "spec.txt",

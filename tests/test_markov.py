@@ -35,6 +35,16 @@ def test_matrix_rejects_short_and_degenerate():
         build_transition_matrix([1.0, 0.5])
 
 
+@pytest.mark.parametrize("eps", [[np.nan, 0.1], [0.2, np.nan, 0.1]])
+def test_nan_outages_are_rejected(eps):
+    # NaN is neither <= 0 nor >= 1, so only a test for lying inside (0, 1)
+    # rejects it
+    with pytest.raises(ValueError, match="strictly in"):
+        steady_state_for(eps)
+    with pytest.raises(ValueError, match="strictly in"):
+        build_transition_matrix(eps)
+
+
 def test_steady_two_state_exact():
     pi = steady_state_for([0.225, 0.1])
     assert pi[0] == pytest.approx(0.8, abs=1e-14)

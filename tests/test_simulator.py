@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,6 +148,18 @@ def test_validate_consistent_policy_scores_low():
     assert rec.z_eps_out is not None
 
 
+@pytest.mark.parametrize("omega", [0.5, 2.0])
+def test_validate_holds_at_any_mean_fading_power(omega):
+    # a table made for a channel of mean gain Omega loses as often as it
+    # claims: the drawn gains and the thresholds are both over Omega
+    ch = ChannelModel(mean_fading_power=omega)
+    pol = make_policy([0.2, 0.1], [1.0, 1.0], ch)
+    rec = validate(pol, replace(spec_for(pol), channel=ch), 200_000, 5)
+    assert rec.max_abs_z <= 4.0
+    for e, c, l in zip(pol.eps, rec.report.state_slots, rec.report.state_losses):
+        assert abs(l / c - e) <= 5 * math.sqrt(e * (1 - e) / c)
+
+
 @pytest.mark.parametrize(
     "eps",
     [
@@ -206,7 +219,8 @@ def reference_simulate(cfg):
 
     rng = np.random.default_rng(cfg.seed)
     total = cfg.burn_in + cfg.slots
-    gains = rng.exponential(ch.mean_fading_power, size=total).tolist()
+    # gains over Omega, the scale of the thresholds
+    gains = rng.standard_exponential(size=total).tolist()
 
     state = 0
     run_len = 0
