@@ -517,17 +517,16 @@ def _polish(search: _Search, u, trace: list) -> np.ndarray:
         p = search.powers(live.size * moves, move, keep=0)[0].reshape(live.size, moves)
         j = p.argmin(axis=1)
         low = p.min(axis=1)
-        s = int(low.argmin())  # the batch's cheapest move, the first on a tie
-        if low[s] < search.best:
-            row = u[live[s]].copy()
-            row[coord[j[s]]] = um[s * moves + j[s]]
-            search.offer(low[s], row)
+        i = int(low.argmin())  # the batch's cheapest move, the first on a tie
+        row = u[live[i]].copy()
+        row[coord[j[i]]] = um[i * moves + j[i]]
+        search.offer(low[i], row)
         better = low < power[live] * (1.0 - _TOL)
         if better.any():
             k = better.nonzero()[0]
             took, at, d = k * moves + j[k], live[k], coord[j[k]]
             z[at, d], u[at, d], power[at] = zm[took], um[took], low[k]
-        trace.append((float(step[live].max()), float(low[s]) * search.unit,
+        trace.append((float(step[live].max()), float(low[i]) * search.unit,
                       search.best * search.unit))
         step[live] /= np.where(better, 1.0, 4.0)
         # a start that has failed a move and still lies well above the best
