@@ -42,7 +42,7 @@ from .policy import (
     evaluate_variable,
     make_policy,
 )
-from .simulator import SimConfig, SimReport, ValidationRecord, simulate, validate
+from .simulator import SimReport, ValidationRecord, simulate, validate
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "NoFeasibleSolution",
     "Policy",
     "ProblemSpec",
-    "SimConfig",
     "SimReport",
     "SolveResult",
     "ValidationRecord",

@@ -28,7 +28,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .annealer import (
     AnnealingSchedule,
@@ -44,7 +44,7 @@ from .closed_form import (
     n1_variable_search,
 )
 from .policy import Policy, ProblemSpec, make_policy
-from .simulator import SimConfig, simulate, validate
+from .simulator import simulate, validate
 
 _CHANNEL_KEYS = {"noise_power", "mean_fading_power"}
 _PROBLEM_KEYS = _CHANNEL_KEYS | {
@@ -166,13 +166,19 @@ def _spec_from_values(vals: dict, path: str) -> ProblemSpec:
 
 
 def _build_schedule(fields, path: str, args) -> AnnealingSchedule:
+    """The first restart's schedule, checked with every later restart's seed."""
+    if args.restarts < 1:
+        raise SpecFileError("restarts must be >= 1")
     seed = args.seed
     if seed is None:
         seed = _conv(path, "seed", fields["seed"], int) if "seed" in fields else 0
+    last = seed + args.restarts - 1
     try:
-        return AnnealingSchedule(seed=seed)
+        base = AnnealingSchedule(seed=seed)
+        AnnealingSchedule(seed=last)
     except ValueError as exc:
-        raise SpecFileError(f"{path}: {exc}") from exc
+        raise SpecFileError(f"{path}: {exc}; the restarts use seeds {seed} to {last}") from exc
+    return base
 
 
 def _spec_echo(spec: ProblemSpec) -> dict:
@@ -186,34 +192,6 @@ def _spec_echo(spec: ProblemSpec) -> dict:
         "peak_power_w": spec.peak_power,
         "noise_power": spec.channel.noise_power,
         "mean_fading_power": spec.channel.mean_fading_power,
-    }
-
-
-def _schedule_echo(schedule: AnnealingSchedule) -> dict:
-    return {"seed": schedule.seed}
-
-
-def _policy_dict(policy: Policy) -> dict:
-    return {
-        "eps": [float(v) for v in policy.eps],
-        "rates": [float(v) for v in policy.rates],
-        "powers": [float(v) for v in policy.powers],
-    }
-
-
-def _report_dict(rep) -> dict:
-    hist = {str(k): rep.run_length_histogram[k] for k in sorted(rep.run_length_histogram)}
-    return {
-        "empirical_gamma": rep.empirical_gamma,
-        "empirical_eps_out": rep.empirical_eps_out,
-        "occupancy": list(rep.occupancy),
-        "run_length_histogram": hist,
-        "avg_power": rep.avg_power,
-        "transmitted_rate": rep.transmitted_rate,
-        "delivered_rate": rep.delivered_rate,
-        "violations": rep.violations,
-        "state_slots": list(rep.state_slots),
-        "state_losses": list(rep.state_losses),
     }
 
 
@@ -247,34 +225,39 @@ def _run_restarts(solver, spec, base: AnnealingSchedule, restarts: int):
     return best, best_seed, evaluated
 
 
-def cmd_solve(args) -> int:
-    if args.restarts < 1:
-        raise SpecFileError("restarts must be >= 1")
-    fields = _parse_kv_file(args.spec_file, _PROBLEM_KEYS | _SCHEDULE_KEYS)
-    spec = _spec_from_values(_typed_values(fields, args.spec_file), args.spec_file)
-    base = _build_schedule(fields, args.spec_file, args)
+def _solve(args, spec: ProblemSpec, base: AnnealingSchedule):
+    """Best of the restarts from base: (SolveResult, its seed, None) or (None, None, why).
+
+    why, the exit-2 cause, is the ValueError that proves spec infeasible
+    (an empty feasibility window, say), or NoFeasibleSolution when no
+    restart found a feasible table.  _build_schedule has checked the seeds.
+    """
     solver = solve_fixed if args.problem == "fixed" else solve_variable
     try:
         best, best_seed, evaluated = _run_restarts(solver, spec, base, args.restarts)
     except ValueError as exc:
-        # provable infeasibility (e.g. empty feasibility window) is a
-        # no-solution outcome, not a malformed spec
-        print(str(exc), file=sys.stderr)
-        return 2
+        return None, None, exc
     if best is None:
-        print(
-            f"no feasible solution found after {evaluated} candidate evaluations",
-            file=sys.stderr,
-        )
+        return None, None, NoFeasibleSolution(evaluated)
+    return best, best_seed, None
+
+
+def cmd_solve(args) -> int:
+    fields = _parse_kv_file(args.spec_file, _PROBLEM_KEYS | _SCHEDULE_KEYS)
+    spec = _spec_from_values(_typed_values(fields, args.spec_file), args.spec_file)
+    base = _build_schedule(fields, args.spec_file, args)
+    best, best_seed, why = _solve(args, spec, base)
+    if why is not None:
+        print(why, file=sys.stderr)
         return 2
     payload = {
         "problem": args.problem,
         "spec": _spec_echo(spec),
-        "schedule": _schedule_echo(base),
+        "schedule": asdict(base),
         "restarts": args.restarts,
         "seed": best_seed,
         "best_avg_power": best.best_avg_power,
-        "best_policy": _policy_dict(best.best_policy),
+        "best_policy": asdict(best.best_policy),
         "accepted_count": best.accepted_count,
         "feasible_count": best.feasible_count,
         "evaluated_count": best.evaluated_count,
@@ -305,7 +288,7 @@ def cmd_closed_form(args) -> int:
         except ValueError as exc:
             payload[name] = {"error": str(exc)}
         else:
-            payload[name] = {"avg_power": float(avg), "policy": _policy_dict(policy)}
+            payload[name] = {"avg_power": float(avg), "policy": asdict(policy)}
             solved += 1
     if solved == 0:
         print("no feasible solution found", file=sys.stderr)
@@ -349,11 +332,8 @@ def _load_policy(args) -> tuple[Policy, ChannelModel, dict]:
 def cmd_simulate(args) -> int:
     policy, channel, vals = _load_policy(args)
     config = {
-        "policy": _policy_dict(policy),
-        "channel": {
-            "mean_fading_power": channel.mean_fading_power,
-            "noise_power": channel.noise_power,
-        },
+        "policy": asdict(policy),
+        "channel": asdict(channel),
         "slots": args.slots,
         "seed": args.seed,
         "burn_in": args.burn_in,
@@ -382,7 +362,7 @@ def cmd_simulate(args) -> int:
             raise SpecFileError(f"{args.policy_file}: {exc}") from exc
         payload = {
             "config": config,
-            "report": _report_dict(record.report),
+            "report": asdict(record.report),
             "analytic": {
                 "gamma_r": record.analytic_gamma,
                 "pi": list(record.analytic_pi),
@@ -404,16 +384,8 @@ def cmd_simulate(args) -> int:
             f"avg power {report.avg_power:.5f} W, max |z| {record.max_abs_z:.2f}"
         )
     else:
-        report = simulate(
-            SimConfig(
-                policy=policy,
-                channel=channel,
-                slots=args.slots,
-                seed=args.seed,
-                burn_in=args.burn_in,
-            )
-        )
-        payload = {"config": config, "report": _report_dict(report)}
+        report = simulate(policy, channel, args.slots, args.seed, burn_in=args.burn_in)
+        payload = {"config": config, "report": asdict(report)}
         summary = (
             f"simulated {args.slots} slots: loss rate {report.empirical_gamma:.5f}, "
             f"avg power {report.avg_power:.5f} W, violations {report.violations}"
@@ -490,13 +462,10 @@ def _join(vec) -> str:
 
 
 def cmd_sweep(args) -> int:
-    if args.restarts < 1:
-        raise SpecFileError("restarts must be >= 1")
     values = _parse_range(args.range, args.axis)
     fields = _parse_kv_file(args.spec_file, _PROBLEM_KEYS | _SCHEDULE_KEYS)
     base_vals = _typed_values(fields, args.spec_file)
     base_sched = _build_schedule(fields, args.spec_file, args)
-    solver = solve_fixed if args.problem == "fixed" else solve_variable
     oracle = n1_fixed_search if args.problem == "fixed" else n1_variable_search
 
     def point(value):
@@ -534,13 +503,10 @@ def cmd_sweep(args) -> int:
                 row["closed_form_avg_power"] = float(cf_avg)
             except ValueError:
                 pass
-        try:
-            best, best_seed, _ = _run_restarts(solver, spec, base_sched, args.restarts)
-        except ValueError as exc:
-            row["note"] = str(exc)
-            return row
-        if best is None:
-            row["note"] = "no feasible solution found"
+        best, best_seed, why = _solve(args, spec, base_sched)
+        if why is not None:
+            no_table = isinstance(why, NoFeasibleSolution)
+            row["note"] = "no feasible solution found" if no_table else str(why)
             return row
         row["feasible"] = 1
         row["seed"] = best_seed

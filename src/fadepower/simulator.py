@@ -52,21 +52,6 @@ from .policy import Policy, ProblemSpec, _check_dimensions, average_power
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    policy: Policy
-    channel: ChannelModel
-    slots: int
-    seed: int
-    burn_in: int = 1000
-
-    def __post_init__(self) -> None:
-        if self.slots < 1:
-            raise ValueError("slots must be >= 1")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
-
-
-@dataclass(frozen=True)
 class SimReport:
     """Sample statistics over the counted window of one simulation.
 
@@ -180,7 +165,6 @@ def _run_ends(gains: np.ndarray, mask: np.ndarray, cand: np.ndarray, blocks) -> 
         ends = cand + 1
         ends += passed[cand]
         idx = np.flatnonzero(alive[cand])
-        ends[idx] = size
     else:
         ends = np.full(cand.size, size, dtype=cand.dtype)
         idx = np.arange(cand.size)
@@ -192,6 +176,7 @@ def _run_ends(gains: np.ndarray, mask: np.ndarray, cand: np.ndarray, blocks) -> 
         while idx.size and (k1 is None or k < k1):
             if t[-1] >= size:  # runs that reach the end of gains stay open
                 cut = np.searchsorted(t, size)
+                ends[idx[cut:]] = size
                 idx, t = idx[:cut], t[:cut]
                 continue
             spent += idx.size
@@ -206,10 +191,8 @@ def _run_ends(gains: np.ndarray, mask: np.ndarray, cand: np.ndarray, blocks) -> 
                 keep = np.flatnonzero(first >= t + (k1 - k))
                 idx, t, k = idx[keep], t[keep] + (k1 - k), k1
                 break
-            lost = gains[t] < theta
-            won = np.flatnonzero(~lost)
-            ends[idx[won]] = t[won]
-            keep = np.flatnonzero(lost)
+            ends[idx] = t  # a run lost here is overwritten at a later offset
+            keep = np.flatnonzero(gains[t] < theta)
             idx, t = idx[keep], t[keep] + 1
             k += 1
     return ends
@@ -272,23 +255,32 @@ def _add_run(slots: np.ndarray, losses: np.ndarray, a: int, b: int, closed: bool
         counts[n] += max(0, end - max(a, n))
 
 
-def simulate(cfg: SimConfig) -> SimReport:
-    """Run one seeded replication and tally the counted window."""
-    policy = cfg.policy
+def simulate(
+    policy: Policy,
+    channel: ChannelModel,
+    slots: int,
+    seed: int,
+    *,
+    burn_in: int = 1000,
+) -> SimReport:
+    """Run one seeded replication of `slots` slots after `burn_in` and tally them."""
+    if slots < 1:
+        raise ValueError("slots must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     n = policy.n_states
-    ch = cfg.channel
-    thr = _thresholds(policy, ch)
+    thr = _thresholds(policy, channel)
     blocks = _offset_blocks(thr)
 
-    rng = np.random.default_rng(cfg.seed)
-    buf = np.empty(min(_CHUNK, max(cfg.burn_in, cfg.slots)))
+    rng = np.random.default_rng(seed)
+    buf = np.empty(min(_CHUNK, max(burn_in, slots)))
     slots_in = np.zeros(n + 1, dtype=np.int64)
     losses_in = np.zeros(n + 1, dtype=np.int64)
     lengths = np.zeros(1, dtype=np.int64)  # runs begun and closed in the window, by losses
     hist: dict[int, int] = {}  # other runs closed in the window
     run_len = 0  # the loss run still open, carried across chunks
     # burn-in and counted slots never share a chunk
-    for total, counted in ((cfg.burn_in, False), (cfg.slots, True)):
+    for total, counted in ((burn_in, False), (slots, True)):
         for start in range(0, total, _CHUNK):
             size = min(_CHUNK, total - start)
             # gains over Omega, the scale _thresholds compares with
@@ -332,13 +324,12 @@ def simulate(cfg: SimConfig) -> SimReport:
     losses_in[:n] += at_least[1 : n + 1]
     slots_in[n] += at_least[n:].sum()
     losses_in[n] += at_least[n + 1 :].sum()
-    slots_in[0] += cfg.slots - slots_in.sum()  # the successes of state 0
+    slots_in[0] += slots - slots_in.sum()  # the successes of state 0
     for q in np.flatnonzero(lengths).tolist():
         hist[q] = hist.get(q, 0) + int(lengths[q])
     slots_in = slots_in.tolist()
     losses_in = losses_in.tolist()
 
-    slots = cfg.slots
     total_losses = sum(losses_in)
     occupancy = tuple(c / slots for c in slots_in)
     avg_power = sum(p * c for p, c in zip(policy.powers, slots_in)) / slots
@@ -414,15 +405,7 @@ def validate(
 ) -> ValidationRecord:
     """Simulate `policy` and score the sample against the chain model."""
     _check_dimensions(policy, spec)
-    report = simulate(
-        SimConfig(
-            policy=policy,
-            channel=spec.channel,
-            slots=slots,
-            seed=seed,
-            burn_in=burn_in,
-        )
-    )
+    report = simulate(policy, spec.channel, slots, seed, burn_in=burn_in)
     pi = steady_state_for(policy.eps)
     gamma_r = achieved_loss_rate(policy.eps, pi)
     p_bar = average_power(policy.powers, pi)

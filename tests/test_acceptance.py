@@ -39,7 +39,7 @@ from fadepower.policy import (
     evaluate_variable,
     make_policy,
 )
-from fadepower.simulator import SimConfig, simulate
+from fadepower.simulator import simulate
 
 CH = ChannelModel()
 RMAX100 = max_rate(100.0, CH)
@@ -139,7 +139,7 @@ def test_monte_carlo_agrees_with_chain_statistics():
     start = time.perf_counter()
     slots = 10**6
     pol = make_policy([0.225, 0.1], [1.0, 1.0], CH)
-    rep = simulate(SimConfig(policy=pol, channel=CH, slots=slots, seed=2718))
+    rep = simulate(pol, CH, slots, 2718)
     pi = steady_state_for(pol.eps)
     gamma_r = achieved_loss_rate(pol.eps, pi)
     assert abs(rep.empirical_gamma - gamma_r) < 4 * math.sqrt(gamma_r * (1 - gamma_r) / slots)
@@ -164,7 +164,7 @@ def test_deeper_burst_budgets_cut_power_and_curves_merge():
             res = solve_fixed(spec1(eps_out, n=n), AnnealingSchedule(seed=40 + n))
             row[eps_out] = res.best_avg_power
         curves[n] = row
-    # a deeper burst budget never costs more power (up to SA slack)
+    # a deeper burst budget never costs more power (up to the search's slack)
     assert curves[3][0.02] <= curves[2][0.02] * 1.05
     assert curves[2][0.02] <= curves[1][0.02] * 1.05
     # past the knee all burst depths converge to the same plateau

@@ -113,6 +113,21 @@ def test_solve_empty_feasibility_window_exit_two(tmp_path, capsys):
     assert "feasibility window empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", [["solve", "fixed"], ["sweep", "eps_out", "0.1,0.2"]], ids=["solve", "sweep"]
+)
+def test_restart_seeds_past_64_bits_are_malformed(tmp_path, capsys, command):
+    # the k-th restart runs seed + k: a last seed past 2^64 - 1 is malformed
+    # input (exit 1), although the base seed alone solves
+    spec = write(tmp_path / "spec.txt", "n = 1\neps_out = 0.1\nrate = 1\n")
+    out = tmp_path / "out"
+    seed = ["--seed", str(2**64 - 1), "--out", str(out)]
+    assert main([*command, spec, *seed, "--restarts", "2"]) == 1
+    assert "seed must fit in 64 unsigned bits" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*command, spec, *seed]) == 0
+
+
 def test_solve_fixed_deep_burst_budget(tmp_path):
     spec = write(tmp_path / "spec.txt", "gamma = 0.2\nn = 10\neps_out = 0.1\nrate = 1\n")
     out = tmp_path / "deep.json"
@@ -269,6 +284,18 @@ def test_sweep_csv_contract(tmp_path):
     out2 = tmp_path / "sweep2.csv"
     assert main(["sweep", "eps_out", "0.1:0.3:0.1", spec, "--out", str(out2)]) == 0
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_sweep_csv_independent_of_workers(tmp_path):
+    # the figure sweep: 20 eps_out points of the fixed N=1 problem
+    spec = write(tmp_path / "spec.txt", "gamma = 0.2\nn = 1\neps_out = 0.1\nrate = 1\n")
+    outs = []
+    for workers in ("1", "2"):
+        outs.append(tmp_path / f"w{workers}.csv")
+        argv = ["sweep", "eps_out", "0.02:0.40:0.02", spec, "--workers", workers]
+        assert main([*argv, "--seed", "1", "--out", str(outs[-1])]) == 0
+    assert "(20 points)" in outs[0].read_text()
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_sweep_axis_n(tmp_path):

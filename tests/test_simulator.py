@@ -9,21 +9,13 @@ from fadepower import simulator
 from fadepower.channel import ChannelModel, max_rate
 from fadepower.markov import achieved_loss_rate, steady_state_for
 from fadepower.policy import Policy, ProblemSpec, make_policy
-from fadepower.simulator import SimConfig, SimReport, simulate, validate
+from fadepower.simulator import SimReport, simulate, validate
 
 CH = ChannelModel()
 
 
 def sim(policy, slots, seed=0, burn_in=1000, channel=CH):
-    return simulate(
-        SimConfig(
-            policy=policy,
-            channel=channel,
-            slots=slots,
-            seed=seed,
-            burn_in=burn_in,
-        )
-    )
+    return simulate(policy, channel, slots, seed, burn_in=burn_in)
 
 
 def ref_policy():
@@ -118,9 +110,9 @@ def test_single_slot_report_well_formed():
 def test_config_validation():
     pol = ref_policy()
     with pytest.raises(ValueError, match="slots"):
-        SimConfig(policy=pol, channel=CH, slots=0, seed=0)
+        simulate(pol, CH, 0, 0)
     with pytest.raises(ValueError, match="burn_in"):
-        SimConfig(policy=pol, channel=CH, slots=10, seed=0, burn_in=-1)
+        simulate(pol, CH, 10, 0, burn_in=-1)
     # the burst bound is the policy's own N; validate rejects a spec of another N
     with pytest.raises(ValueError, match="policy has N=1 but spec has N=3"):
         validate(pol, spec_for(make_policy(LOWLOSS, [1.0] * 4, CH)), 10, 0)
@@ -203,11 +195,9 @@ def test_occupancy_converges_across_seeds():
     assert bad == 0
 
 
-def reference_simulate(cfg):
+def reference_simulate(policy, ch, slots, seed, *, burn_in):
     """The per-slot definition of simulate(): one Python step per slot."""
-    policy = cfg.policy
-    n = cfg.policy.n_states
-    ch = cfg.channel
+    n = policy.n_states
     thresholds = []
     for p, r in zip(policy.powers, policy.rates):
         if r == 0.0:
@@ -217,14 +207,14 @@ def reference_simulate(cfg):
         else:
             thresholds.append((2.0**r - 1.0) * ch.noise_power / (p * ch.mean_fading_power))
 
-    rng = np.random.default_rng(cfg.seed)
-    total = cfg.burn_in + cfg.slots
+    rng = np.random.default_rng(seed)
+    total = burn_in + slots
     # gains over Omega, the scale of the thresholds
     gains = rng.standard_exponential(size=total).tolist()
 
     state = 0
     run_len = 0
-    for t in range(cfg.burn_in):
+    for t in range(burn_in):
         if gains[t] < thresholds[state]:
             run_len += 1
             state = state + 1 if state < n else n
@@ -236,7 +226,7 @@ def reference_simulate(cfg):
     losses_in = [0] * (n + 1)
     hist = {}
     violations = 0
-    for t in range(cfg.burn_in, total):
+    for t in range(burn_in, total):
         slots_in[state] += 1
         if gains[t] < thresholds[state]:
             losses_in[state] += 1
@@ -252,7 +242,6 @@ def reference_simulate(cfg):
     if run_len > 0:
         hist[run_len] = hist.get(run_len, 0) + 1
 
-    slots = cfg.slots
     return SimReport(
         empirical_gamma=sum(losses_in) / slots,
         empirical_eps_out=losses_in[n] / slots_in[n] if slots_in[n] > 0 else None,
@@ -301,15 +290,15 @@ def test_walk_matches_per_slot_definition(monkeypatch, name, burn_in):
     monkeypatch.setattr(simulator, "_CHUNK", 64)
     for slots in (1, 7, 1000):
         for seed in (0, 1):
-            cfg = SimConfig(policy=pol, channel=CH, slots=slots, seed=seed, burn_in=burn_in)
-            assert simulate(cfg) == reference_simulate(cfg), (slots, seed)
+            expected = reference_simulate(pol, CH, slots, seed, burn_in=burn_in)
+            assert simulate(pol, CH, slots, seed, burn_in=burn_in) == expected, (slots, seed)
 
 
 @pytest.mark.parametrize("name", ["n3", "n10", "zero_power", "eps_0999"])
 def test_walk_matches_per_slot_definition_across_full_chunks(name):
     pol = WALK_POLICIES[name]
-    cfg = SimConfig(policy=pol, channel=CH, slots=2 * simulator._CHUNK + 12_345, seed=7, burn_in=1000)
-    assert simulate(cfg) == reference_simulate(cfg)
+    slots = 2 * simulator._CHUNK + 12_345
+    assert simulate(pol, CH, slots, 7) == reference_simulate(pol, CH, slots, 7, burn_in=1000)
 
 
 def random_table(index):
@@ -344,13 +333,13 @@ def test_walk_matches_per_slot_definition_on_random_tables(monkeypatch, index):
     shares = (0, simulator._PASS_SHARE, 1 << 20)
     for slots in (1, 63, 64, 65, 1000):
         for burn_in in (0, 1, 63, 1000):
-            cfg = SimConfig(policy=pol, channel=CH, slots=slots, seed=index, burn_in=burn_in)
-            expected = reference_simulate(cfg)
+            expected = reference_simulate(pol, CH, slots, index, burn_in=burn_in)
             # 0: open runs step one offset at a time; 1 << 20: dense passes,
             # then a search for the first success
             for share in shares:
                 monkeypatch.setattr(simulator, "_PASS_SHARE", share)
-                assert simulate(cfg) == expected, (slots, burn_in, share)
+                got = simulate(pol, CH, slots, index, burn_in=burn_in)
+                assert got == expected, (slots, burn_in, share)
 
 
 def test_histogram_keys_increase():
