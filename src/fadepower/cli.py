@@ -271,6 +271,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_closed_form(args) -> int:
+    if args.grid_points < 2:
+        raise SpecFileError("grid_points must be >= 2")
     fields = _parse_kv_file(args.spec_file, _PROBLEM_KEYS | _SCHEDULE_KEYS)
     spec = _spec_from_values(_typed_values(fields, args.spec_file), args.spec_file)
     if spec.n_states != 1:

@@ -13,30 +13,34 @@ A warm-up prefix of `burn_in` slots (simulated in addition to `slots`)
 is excluded from all statistics so that the deterministic start in
 state 0 does not bias the occupancy estimates.
 
-The walk is vectorised without giving up one drawn gain per slot, so
-validation stays independent of the chain model it checks.  It walks
-loss runs, not slots.  A slot whose gain is below state 0's threshold (a
-"candidate") would start a run were the chain in state 0 there; the
-run's k-th slot after it is spent in state min(k, N), up to its first
-success.  For every candidate the walk finds where that run would close
--- dense passes over the chunk for the first offsets, then the open runs
-step one offset at a time, and a stretch of offsets of one threshold
-(the terminal state's has no end) is searched for its first success.  A
-candidate that no earlier candidate's run reaches is in state 0
-whatever came before; from each such head a chain steps from a run to
-the first candidate after its closing success, and the candidates it
-meets start the true runs.  The chains are followed by pointer
-doubling, 1, 2, 4, ... runs at a time, so the run time stays bounded
-for every table.  Every statistic follows from the true runs' loss
-counts q: a run of q losses spends one slot in each state j < N with
-j <= q and max(0, q - N + 1) slots in state N, and loses on all but
-its last slot.  Gains are drawn over their mean Omega, as standard
-exponentials, and compared with thresholds over Omega.  They are drawn
-chunk by chunk from one generator -- consecutive draws give the same
-stream as one large draw -- with the burn-in in chunks of its own and
-the open loss run carried across chunk boundaries, so memory stays flat
-in `slots`.  The report is bit-identical to the per-slot definition
-above for every configuration and seed.
+The walk is vectorised without giving up one draw per slot, so
+validation stays independent of the chain model it checks.  Each slot
+draws the quantile u = 1 - exp(-g/Omega) of its gain g, one uniform
+double on [0, 1) (the inversion method): the packet is lost exactly when
+g/Omega is below theta = (2^r - 1) N0/(P Omega), that is when u is below
+the state's outage probability 1 - exp(-theta).  The simulator computes
+theta itself rather than through channel.outage_probability, so a fault
+in channel.py shows up as a z-score instead of being reproduced.  The
+walk follows loss runs, not slots.  A slot whose quantile is below state
+0's outage (a "candidate") would start a run were the chain in state 0
+there; the run's k-th slot after it is spent in state min(k, N), up to
+its first success.  For every candidate the walk finds where that run
+would close -- dense passes over the chunk for the first offsets, then
+the open runs step one offset at a time, and a stretch of offsets of one
+outage (the terminal state's has no end) is searched for its first
+success.  A candidate that no earlier candidate's run reaches is in
+state 0 whatever came before; from each such head a chain steps from a
+run to the first candidate after its closing success, and the candidates
+it meets start the true runs.  The chains are followed by pointer
+doubling, 1, 2, 4, ... runs at a time, so the run time stays bounded for
+every table.  Every statistic follows from the true runs' loss counts q:
+a run of q losses spends one slot in each state j < N with j <= q and
+max(0, q - N + 1) slots in state N, and loses on all but its last slot.
+Quantiles are drawn chunk by chunk from one generator -- consecutive
+draws give the same stream as one large draw -- with the burn-in in
+chunks of its own and the open loss run carried across chunk boundaries,
+so memory stays flat in `slots`.  The report is bit-identical to the
+per-slot definition above for every configuration and seed.
 """
 
 from __future__ import annotations
@@ -93,58 +97,60 @@ _SEARCH_PASSES = 4
 # a boolean mask is several times slower when the mask is irregular.
 
 
-def _thresholds(policy: Policy, ch: ChannelModel) -> list[float]:
-    """Per-state gain over Omega below which a packet is lost (0: never, inf: always).
+def _outages(policy: Policy, ch: ChannelModel) -> list[float]:
+    """Per-state outage q = 1 - exp(-theta) (0: never lost, 1: always).
 
     A packet at power P and rate r is lost when its gain g is below (2^r -
-    1) N0/P; the walk draws g/Omega, a standard exponential, and so
-    compares it with that threshold over Omega.
+    1) N0/P, so when g/Omega is below theta = (2^r - 1) N0/(P Omega); the
+    walk draws u = 1 - exp(-g/Omega), uniform on [0, 1), and compares it
+    with q.
     """
-    thresholds = []
+    outages = []
     for p, r in zip(policy.powers, policy.rates):
         if r == 0.0:
-            thresholds.append(0.0)
+            outages.append(0.0)
         elif p == 0.0:
-            thresholds.append(math.inf)
+            outages.append(1.0)
         else:
-            thresholds.append((2.0**r - 1.0) * ch.noise_power / (p * ch.mean_fading_power))
-    return thresholds
+            theta = (2.0**r - 1.0) * ch.noise_power / (p * ch.mean_fading_power)
+            outages.append(-math.expm1(-theta))
+    return outages
 
 
-def _offset_blocks(thr: list[float]) -> list[tuple[int, int | None, float]]:
-    """Offsets k >= 1 of a run begun in state 0, grouped by threshold.
+def _offset_blocks(outages: list[float]) -> list[tuple[int, int | None, float]]:
+    """Offsets k >= 1 of a run begun in state 0, grouped by outage.
 
-    Offset k of a run is spent in state min(k, N).  Each (k0, k1, theta)
-    covers the offsets k0 <= k < k1 of one threshold; the last block,
+    Offset k of a run is spent in state min(k, N).  Each (k0, k1, q)
+    covers the offsets k0 <= k < k1 of one outage q; the last block,
     the terminal state's, has k1 None and no end.
     """
-    n = len(thr) - 1
+    n = len(outages) - 1
     blocks = []
     k0 = 1
     for k in range(2, n + 1):
-        if thr[k] != thr[k0]:
-            blocks.append((k0, k, thr[k0]))
+        if outages[k] != outages[k0]:
+            blocks.append((k0, k, outages[k0]))
             k0 = k
-    blocks.append((k0, None, thr[n]))
+    blocks.append((k0, None, outages[n]))
     return blocks
 
 
-def _run_ends(gains: np.ndarray, mask: np.ndarray, cand: np.ndarray, blocks) -> np.ndarray:
+def _run_ends(u: np.ndarray, mask: np.ndarray, cand: np.ndarray, blocks) -> np.ndarray:
     """First success of a loss run begun in state 0 at each slot of `cand`.
 
-    cand holds the slots of `mask`, in order: those whose gain is below
-    state 0's threshold.  The result is gains.size where a run is still
-    lost at the end of gains.  While many runs are open, offsets are
-    tested in dense passes over the chunk, at most _SEARCH_PASSES in one
-    block; then the open runs step one offset at a time, and a block
-    with more offsets left (the terminal state's has no end) is searched
-    for its first success once stepping has cost about as much as a pass.
+    cand holds the slots of `mask`, in order: those whose quantile is
+    below state 0's outage.  The result is u.size where a run is still
+    lost at the end of u.  While many runs are open, offsets are tested
+    in dense passes over the chunk, at most _SEARCH_PASSES in one block;
+    then the open runs step one offset at a time, and a block with more
+    offsets left (the terminal state's has no end) is searched for its
+    first success once stepping has cost about as much as a pass.
     Each way pays for itself on some table (10^6 slots, the tables and
     host named at _PASS_SHARE): without the dense passes flat30,
     eps_0999, n1 and plateau run 1.3-1.6x slower, without stepping n3
     1.7x slower, and without the search n10 1.4x and n300 over 100x.
     """
-    size = gains.size
+    size = u.size
     b, k = 0, 1
     if cand.size * _PASS_SHARE >= size:
         alive = mask.copy()
@@ -156,7 +162,7 @@ def _run_ends(gains: np.ndarray, mask: np.ndarray, cand: np.ndarray, blocks) -> 
             and np.count_nonzero(alive) * _PASS_SHARE >= size
         ):
             if k < size:
-                np.less(gains[k:], blocks[b][2], out=lost[: size - k])
+                np.less(u[k:], blocks[b][2], out=lost[: size - k])
                 alive[: size - k] &= lost[: size - k]
             passed += alive
             k += 1
@@ -171,17 +177,17 @@ def _run_ends(gains: np.ndarray, mask: np.ndarray, cand: np.ndarray, blocks) -> 
     if not idx.size:
         return ends
     t = cand[idx] + k
-    for _, k1, theta in blocks[b:]:
+    for _, k1, q in blocks[b:]:
         spent = 0
         while idx.size and (k1 is None or k < k1):
-            if t[-1] >= size:  # runs that reach the end of gains stay open
+            if t[-1] >= size:  # runs that reach the end of u stay open
                 cut = np.searchsorted(t, size)
                 ends[idx[cut:]] = size
                 idx, t = idx[:cut], t[:cut]
                 continue
             spent += idx.size
             if (k1 is None or k1 - k > 1) and spent * _PASS_SHARE > size:
-                hits = np.append(np.flatnonzero(gains >= theta), size)
+                hits = np.append(np.flatnonzero(u >= q), size)
                 first = hits[np.searchsorted(hits, t)]
                 if k1 is None:
                     ends[idx] = first
@@ -192,22 +198,22 @@ def _run_ends(gains: np.ndarray, mask: np.ndarray, cand: np.ndarray, blocks) -> 
                 idx, t, k = idx[keep], t[keep] + (k1 - k), k1
                 break
             ends[idx] = t  # a run lost here is overwritten at a later offset
-            keep = np.flatnonzero(gains[t] < theta)
+            keep = np.flatnonzero(u[t] < q)
             idx, t = idx[keep], t[keep] + 1
             k += 1
     return ends
 
 
-def _close_open_run(gains: np.ndarray, run_len: int, thr: list[float]) -> int:
-    """First success of a run entering gains with `run_len` losses (gains.size if none)."""
-    n = len(thr) - 1
+def _close_open_run(u: np.ndarray, run_len: int, outages: list[float]) -> int:
+    """First success of a run entering u with `run_len` losses (u.size if none)."""
+    n = len(outages) - 1
     t = 0
     for k in range(run_len, n):
-        if t == gains.size or gains[t] >= thr[k]:
+        if t == u.size or u[t] >= outages[k]:
             return t
         t += 1
-    hits = np.flatnonzero(gains[t:] >= thr[n])
-    return t + int(hits[0]) if hits.size else gains.size
+    hits = np.flatnonzero(u[t:] >= outages[n])
+    return t + int(hits[0]) if hits.size else u.size
 
 
 def _true_runs(mask: np.ndarray, cand: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -268,9 +274,12 @@ def simulate(
         raise ValueError("slots must be >= 1")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
+    for key in ("rates", "powers"):
+        if not all(math.isfinite(v) and v >= 0.0 for v in getattr(policy, key)):
+            raise ValueError(f"{key} must be finite and >= 0")
     n = policy.n_states
-    thr = _thresholds(policy, channel)
-    blocks = _offset_blocks(thr)
+    outages = _outages(policy, channel)
+    blocks = _offset_blocks(outages)
 
     rng = np.random.default_rng(seed)
     buf = np.empty(min(_CHUNK, max(burn_in, slots)))
@@ -283,23 +292,23 @@ def simulate(
     for total, counted in ((burn_in, False), (slots, True)):
         for start in range(0, total, _CHUNK):
             size = min(_CHUNK, total - start)
-            # gains over Omega, the scale _thresholds compares with
-            gains = rng.standard_exponential(out=buf[:size])
+            # each slot's gain as its quantile, the scale of _outages
+            u = rng.random(out=buf[:size])
             close = -1
             if run_len:
-                close = _close_open_run(gains, run_len, thr)
+                close = _close_open_run(u, run_len, outages)
                 closed = close < size
                 if counted:
                     _add_run(slots_in, losses_in, run_len, run_len + close + closed, closed)
                     if closed:
                         hist[run_len + close] = hist.get(run_len + close, 0) + 1
                 run_len = 0 if closed else run_len + size
-            mask = gains < thr[0]  # a loss, were the slot in state 0
+            mask = u < outages[0]  # a loss, were the slot in state 0
             mask[: close + 1] = False
             cand = np.flatnonzero(mask).astype(np.int32)
             if not cand.size:
                 continue
-            ends = _run_ends(gains, mask, cand, blocks)
+            ends = _run_ends(u, mask, cand, blocks)
             runs = _true_runs(mask, cand, ends)
             first, ends = cand[runs], ends[runs]
             if ends[-1] == size:  # the last run is still open

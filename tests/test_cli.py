@@ -182,6 +182,15 @@ def test_closed_form_rejects_larger_chain(tmp_path, capsys):
     assert "closed form defined only for N=1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("points", ["1", "-5"])
+def test_closed_form_rejects_fewer_than_two_grid_points(tmp_path, capsys, points):
+    spec = write(tmp_path / "cf.txt", "n = 1\neps_out = 0.1\nrate = 1\n")
+    assert main(["closed-form", spec, "--grid-points", points]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "grid_points must be >= 2" in err
+
+
 def test_closed_form_partial_results_when_peak_binds(tmp_path):
     spec = write(
         tmp_path / "cf.txt",

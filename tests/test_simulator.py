@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fadepower import simulator
-from fadepower.channel import ChannelModel, max_rate
+from fadepower.channel import ChannelModel, max_rate, outage_probability
 from fadepower.markov import achieved_loss_rate, steady_state_for
 from fadepower.policy import Policy, ProblemSpec, make_policy
 from fadepower.simulator import SimReport, simulate, validate
@@ -118,6 +118,28 @@ def test_config_validation():
         validate(pol, spec_for(make_policy(LOWLOSS, [1.0] * 4, CH)), 10, 0)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("powers", math.nan),
+        ("powers", -1.0),
+        ("powers", math.inf),
+        ("rates", math.nan),
+        ("rates", -1.0),
+        ("rates", math.inf),
+    ],
+)
+def test_rejects_negative_or_nonfinite_power_or_rate(key, value):
+    # unchecked, a NaN or negative value would simulate a lossless link
+    pol = replace(
+        Policy(eps=(0.1, 0.1), rates=(1.0, 1.0), powers=(1.0, 1.0)), **{key: (value, 1.0)}
+    )
+    with pytest.raises(ValueError, match=f"{key} must be finite and >= 0"):
+        simulate(pol, CH, 10_000, 0)
+    with pytest.raises(ValueError, match=f"{key} must be finite and >= 0"):
+        validate(pol, spec_for(pol), 10_000, 0)
+
+
 def spec_for(pol, eps_out=0.1):
     return ProblemSpec(
         gamma=0.2,
@@ -143,7 +165,7 @@ def test_validate_consistent_policy_scores_low():
 @pytest.mark.parametrize("omega", [0.5, 2.0])
 def test_validate_holds_at_any_mean_fading_power(omega):
     # a table made for a channel of mean gain Omega loses as often as it
-    # claims: the drawn gains and the thresholds are both over Omega
+    # claims: the outage the walk compares with takes Omega into account
     ch = ChannelModel(mean_fading_power=omega)
     pol = make_policy([0.2, 0.1], [1.0, 1.0], ch)
     rec = validate(pol, replace(spec_for(pol), channel=ch), 200_000, 5)
@@ -175,6 +197,21 @@ def test_validate_flags_corrupted_model():
     assert rec.max_abs_z > 4.0
 
 
+def test_given_powers_lose_at_the_channel_outage():
+    # powers given, not derived: the walk's loss event must be the one
+    # channel.outage_probability names for (P_i, r_i), whatever eps says
+    ch = ChannelModel(mean_fading_power=2.0)
+    pol = Policy(
+        eps=(0.2, 0.1, 0.05, 0.01), rates=(1.5, 0.7, 1.2, 0.3), powers=(3.0, 1.0, 2.0, 0.5)
+    )
+    rep = simulate(pol, ch, 200_000, 11)
+    for e, p, r, c, l in zip(pol.eps, pol.powers, pol.rates, rep.state_slots, rep.state_losses):
+        q = outage_probability(p, r, ch)
+        assert abs(q - e) > 0.04  # the labels disagree with the table
+        assert c > 1000
+        assert abs(l / c - q) <= 5 * math.sqrt(q * (1 - q) / c), (p, r, l / c, q)
+
+
 def test_validate_degenerate_single_slot():
     pol = ref_policy()
     rec = validate(pol, spec_for(pol), 1, 0)
@@ -198,24 +235,25 @@ def test_occupancy_converges_across_seeds():
 def reference_simulate(policy, ch, slots, seed, *, burn_in):
     """The per-slot definition of simulate(): one Python step per slot."""
     n = policy.n_states
-    thresholds = []
+    outages = []
     for p, r in zip(policy.powers, policy.rates):
         if r == 0.0:
-            thresholds.append(0.0)
+            outages.append(0.0)
         elif p == 0.0:
-            thresholds.append(math.inf)
+            outages.append(1.0)
         else:
-            thresholds.append((2.0**r - 1.0) * ch.noise_power / (p * ch.mean_fading_power))
+            theta = (2.0**r - 1.0) * ch.noise_power / (p * ch.mean_fading_power)
+            outages.append(-math.expm1(-theta))
 
     rng = np.random.default_rng(seed)
     total = burn_in + slots
-    # gains over Omega, the scale of the thresholds
-    gains = rng.standard_exponential(size=total).tolist()
+    # each slot's gain g as its quantile 1 - exp(-g/Omega), uniform on [0, 1)
+    u = rng.random(size=total).tolist()
 
     state = 0
     run_len = 0
     for t in range(burn_in):
-        if gains[t] < thresholds[state]:
+        if u[t] < outages[state]:
             run_len += 1
             state = state + 1 if state < n else n
         else:
@@ -228,7 +266,7 @@ def reference_simulate(policy, ch, slots, seed, *, burn_in):
     violations = 0
     for t in range(burn_in, total):
         slots_in[state] += 1
-        if gains[t] < thresholds[state]:
+        if u[t] < outages[state]:
             losses_in[state] += 1
             if state == n:
                 violations += 1
@@ -269,16 +307,16 @@ WALK_POLICIES = {
     "n1": ref_policy(),
     "n3": fixed_rate(LOWLOSS),
     "n10": fixed_rate(BURSTY),
-    # threshold 0 in state 0: no loss there, so runs start only in state 1
+    # outage 0 in state 0: no loss there, so runs start only in state 1
     "zero_rate": Policy(eps=(0.0, 0.4, 0.2), rates=(0.0, 1.0, 1.0), powers=(0.0, *_P[1:])),
-    # threshold inf in state 1: no slot is a sure success
+    # outage 1 in state 1: no slot is a sure success
     "zero_power": Policy(eps=(0.2, 1.0, 0.3), rates=(1.0,) * 3, powers=(_P[0], 0.0, _P[2])),
     # terminal state never succeeds: one run that crosses every chunk
     "stuck": Policy(eps=(0.05, 1.0), rates=(1.0, 1.0), powers=(fixed_rate((0.05, 0.5)).powers[0], 0.0)),
     "eps_0999": fixed_rate((0.5, 0.999, 0.3)),
     # more states than one byte can number
     "n300": fixed_rate((0.999,) * 301),
-    # offsets of one threshold between others, searched as one block
+    # offsets of one outage between others, searched as one block
     "plateau": fixed_rate((0.3, 0.6, 0.6, 0.6, 0.9, 0.9, 0.2)),
 }
 
