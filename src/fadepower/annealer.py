@@ -178,6 +178,10 @@ class NoFeasibleSolution(ValueError):
         )
         self.evaluated_count = evaluated_count
 
+    def __reduce__(self):
+        # rebuild from the count: the default would pass the message as the count
+        return type(self), (self.evaluated_count,)
+
 
 class _Buffers:
     """Named arrays that the water fill of one solve writes into, block after block.

@@ -15,6 +15,9 @@ the peak-power capacity); n, eps_out, and rate must always be given.
 Results are emitted as JSON (to --out, or stdout when --out is absent)
 with a one-line human summary on the other stream.  Sweeps emit CSV
 with '#'-prefixed comment lines, one self-describing row per point.
+A sweep solves its points in worker processes, by default min(8, usable
+CPUs, points) of them (``--workers 1`` solves in this process); rows keep
+the range's order, so the CSV does not depend on the worker count.
 Exit codes: 0 success, 1 malformed input (an unknown flag or key
 included), 2 no feasible solution.
 """
@@ -23,11 +26,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 
 from .annealer import (
@@ -463,70 +466,94 @@ def _join(vec) -> str:
     return ";".join(str(float(v)) for v in vec)
 
 
+def _sweep_point(args, base_vals: dict, base_sched: AnnealingSchedule, value) -> dict:
+    """One sweep row: the base problem with args.axis set to value, solved.
+
+    A module-level function, so that a worker process can unpickle it.
+    """
+    vals = dict(base_vals)
+    vals[args.axis] = value
+    row = {
+        "axis": args.axis,
+        "axis_value": value,
+        "problem": args.problem,
+        "seed": base_sched.seed,
+        "feasible": 0,
+        "best_avg_power": "",
+        "closed_form_avg_power": "",
+        "eps": "",
+        "rates": "",
+        "powers": "",
+        "note": "",
+    }
+    try:
+        spec = _spec_from_values(vals, args.spec_file)
+    except ValueError as exc:
+        row["note"] = str(exc)
+        for key in ("gamma", "n", "eps_out", "rate", "r_min", "r_max"):
+            if key in vals:
+                row[key] = vals[key]
+        row.setdefault("gamma", _PRESET_GAMMA)
+        row["peak_power_w"] = vals.get("peak_power_w", _PRESET_PEAK_W)
+        row["noise_power"] = vals.get("noise_power", 1.0)
+        row["mean_fading_power"] = vals.get("mean_fading_power", 1.0)
+        return row
+    row.update(_spec_echo(spec))
+    if spec.n_states == 1:
+        oracle = n1_fixed_search if args.problem == "fixed" else n1_variable_search
+        try:
+            _, cf_avg = oracle(spec)
+            row["closed_form_avg_power"] = float(cf_avg)
+        except ValueError:
+            pass
+    best, best_seed, why = _solve(args, spec, base_sched)
+    if why is not None:
+        no_table = isinstance(why, NoFeasibleSolution)
+        row["note"] = "no feasible solution found" if no_table else str(why)
+        return row
+    row["feasible"] = 1
+    row["seed"] = best_seed
+    row["best_avg_power"] = best.best_avg_power
+    row["eps"] = _join(best.best_policy.eps)
+    row["rates"] = _join(best.best_policy.rates)
+    row["powers"] = _join(best.best_policy.powers)
+    return row
+
+
+def _sweep_workers(requested: int | None, points: int) -> int:
+    """Worker processes for a sweep of `points` points.
+
+    The default is min(8, usable CPUs, points).  A requested count is
+    capped at `points`: a fork pool starts all of its workers at once.
+    """
+    if requested is None:
+        if hasattr(os, "sched_getaffinity"):
+            usable = len(os.sched_getaffinity(0))
+        else:
+            usable = os.cpu_count() or 1
+        return min(8, usable, points)
+    if requested < 1:
+        raise SpecFileError("workers must be >= 1")
+    return min(requested, points)
+
+
 def cmd_sweep(args) -> int:
     values = _parse_range(args.range, args.axis)
     fields = _parse_kv_file(args.spec_file, _PROBLEM_KEYS | _SCHEDULE_KEYS)
     base_vals = _typed_values(fields, args.spec_file)
     base_sched = _build_schedule(fields, args.spec_file, args)
-    oracle = n1_fixed_search if args.problem == "fixed" else n1_variable_search
-
-    def point(value):
-        vals = dict(base_vals)
-        vals[args.axis] = value
-        row = {
-            "axis": args.axis,
-            "axis_value": value,
-            "problem": args.problem,
-            "seed": base_sched.seed,
-            "feasible": 0,
-            "best_avg_power": "",
-            "closed_form_avg_power": "",
-            "eps": "",
-            "rates": "",
-            "powers": "",
-            "note": "",
-        }
-        try:
-            spec = _spec_from_values(vals, args.spec_file)
-        except ValueError as exc:
-            row["note"] = str(exc)
-            for key in ("gamma", "n", "eps_out", "rate", "r_min", "r_max"):
-                if key in vals:
-                    row[key] = vals[key]
-            row.setdefault("gamma", _PRESET_GAMMA)
-            row["peak_power_w"] = vals.get("peak_power_w", _PRESET_PEAK_W)
-            row["noise_power"] = vals.get("noise_power", 1.0)
-            row["mean_fading_power"] = vals.get("mean_fading_power", 1.0)
-            return row
-        row.update(_spec_echo(spec))
-        if spec.n_states == 1:
-            try:
-                _, cf_avg = oracle(spec)
-                row["closed_form_avg_power"] = float(cf_avg)
-            except ValueError:
-                pass
-        best, best_seed, why = _solve(args, spec, base_sched)
-        if why is not None:
-            no_table = isinstance(why, NoFeasibleSolution)
-            row["note"] = "no feasible solution found" if no_table else str(why)
-            return row
-        row["feasible"] = 1
-        row["seed"] = best_seed
-        row["best_avg_power"] = best.best_avg_power
-        row["eps"] = _join(best.best_policy.eps)
-        row["rates"] = _join(best.best_policy.rates)
-        row["powers"] = _join(best.best_policy.powers)
-        return row
-
-    workers = args.workers
-    if workers is None:
-        workers = min(8, os.cpu_count() or 1, len(values))
-    if workers < 1:
-        raise SpecFileError("workers must be >= 1")
+    workers = _sweep_workers(args.workers, len(values))
+    point = functools.partial(_sweep_point, args, base_vals, base_sched)
     if workers == 1:
         rows = [point(v) for v in values]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        # imported here, so that importing the cli loads no multiprocessing
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # forked workers inherit the loaded package instead of importing numpy
+        ctx = multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             rows = list(pool.map(point, values))
 
     stream = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
@@ -585,7 +612,13 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--problem", choices=("fixed", "variable"), default="fixed")
     sw.add_argument("--seed", type=int, default=None, help="base RNG seed")
     sw.add_argument("--restarts", type=int, default=1)
-    sw.add_argument("--workers", type=int, default=None)
+    sw.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="worker processes (default: min(8, usable CPUs, points); "
+        "1 runs in this process); the CSV does not depend on it",
+    )
     sw.add_argument("--out", help="write CSV here (default: stdout)")
     sw.set_defaults(func=cmd_sweep)
     return parser

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -137,6 +138,15 @@ def test_variable_degenerate_burst_target():
     with pytest.raises(NoFeasibleSolution) as exc:
         solve_variable(spec1(eps_out=5e-7), LIGHT)
     assert exc.value.evaluated_count == 0
+
+
+def test_no_feasible_solution_survives_pickling():
+    # a sweep worker's exception crosses a process boundary as a pickle
+    exc = NoFeasibleSolution(5)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is NoFeasibleSolution
+    assert back.evaluated_count == 5
+    assert str(back) == str(exc) == "no feasible solution found after 5 candidate evaluations"
 
 
 def test_seed_determinism_bitexact():

@@ -1,10 +1,18 @@
 import csv
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from fadepower import cli
 from fadepower.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 PLATEAU_PBAR = 4.481420117724550
 FIXED_PBAR_01 = 5.036825427107048
@@ -296,15 +304,58 @@ def test_sweep_csv_contract(tmp_path):
 
 
 def test_sweep_csv_independent_of_workers(tmp_path):
-    # the figure sweep: 20 eps_out points of the fixed N=1 problem
-    spec = write(tmp_path / "spec.txt", "gamma = 0.2\nn = 1\neps_out = 0.1\nrate = 1\n")
-    outs = []
-    for workers in ("1", "2"):
-        outs.append(tmp_path / f"w{workers}.csv")
-        argv = ["sweep", "eps_out", "0.02:0.40:0.02", spec, "--workers", workers]
-        assert main([*argv, "--seed", "1", "--out", str(outs[-1])]) == 0
-    assert "(20 points)" in outs[0].read_text()
-    assert outs[0].read_bytes() == outs[1].read_bytes()
+    sweeps = {
+        # the figure sweep: 20 eps_out points of the fixed N=1 problem
+        "figure": (
+            "gamma = 0.2\nn = 1\neps_out = 0.1\nrate = 1\n",
+            ["eps_out", "0.02:0.40:0.02"],
+            "(20 points)",
+        ),
+        # an empty feasibility window, a solved point and a malformed eps_out
+        "rows without tables": (
+            "n = 1\nrate = 1\neps_out = 0.1\npeak_power_w = 5\n",
+            ["eps_out", "0.02,0.3,1.5"],
+            "eps_out must lie in (0, 1)",
+        ),
+        "variable n": (
+            "gamma = 0.2\nrate = 1\neps_out = 0.3\n",
+            ["n", "1,2,3", "--problem", "variable"],
+            "(3 points)",
+        ),
+    }
+    for name, (text, sweep, expect) in sweeps.items():
+        spec = write(tmp_path / "spec.txt", text)
+        outs = []
+        for workers in ("1", "2"):
+            outs.append(tmp_path / f"w{workers}.csv")
+            argv = ["sweep", *sweep[:2], spec, *sweep[2:], "--workers", workers]
+            assert main([*argv, "--seed", "1", "--out", str(outs[-1])]) == 0
+            # the pool is shut down, and its workers joined, when main returns
+            assert multiprocessing.active_children() == []
+        assert expect in outs[0].read_text(), name
+        assert outs[0].read_bytes() == outs[1].read_bytes(), name
+
+
+def test_sweep_worker_count(monkeypatch):
+    # the default counts the CPUs this process may run on, not the host's
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert cli._sweep_workers(None, 20) == 3
+    assert cli._sweep_workers(None, 1) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._sweep_workers(None, 20) == 8
+    assert cli._sweep_workers(None, 5) == 5
+    # a requested count is capped at the number of points
+    assert cli._sweep_workers(1000, 3) == 3
+    assert cli._sweep_workers(2, 20) == 2
+    with pytest.raises(cli.SpecFileError, match="workers must be >= 1"):
+        cli._sweep_workers(0, 20)
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    code = "import sys, fadepower.cli; assert 'multiprocessing' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_sweep_axis_n(tmp_path):
