@@ -15,9 +15,10 @@ the peak-power capacity); n, eps_out, and rate must always be given.
 Results are emitted as JSON (to --out, or stdout when --out is absent)
 with a one-line human summary on the other stream.  Sweeps emit CSV
 with '#'-prefixed comment lines, one self-describing row per point.
-A sweep solves its points in worker processes, by default min(8, usable
-CPUs, points) of them (``--workers 1`` solves in this process); rows keep
-the range's order, so the CSV does not depend on the worker count.
+A sweep with ``--workers W`` solves its points in W processes: the calling
+process plus W-1 forked workers, each taking every W-th point.  W defaults
+to min(8, usable CPUs, points), and ``--workers 1`` forks nothing.  Rows
+keep the range's order, so the CSV does not depend on the worker count.
 Exit codes: 0 success, 1 malformed input (an unknown flag or key
 included), 2 no feasible solution.
 """
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import os
@@ -467,10 +467,7 @@ def _join(vec) -> str:
 
 
 def _sweep_point(args, base_vals: dict, base_sched: AnnealingSchedule, value) -> dict:
-    """One sweep row: the base problem with args.axis set to value, solved.
-
-    A module-level function, so that a worker process can unpickle it.
-    """
+    """One sweep row: the base problem with args.axis set to value, solved."""
     vals = dict(base_vals)
     vals[args.axis] = value
     row = {
@@ -520,11 +517,21 @@ def _sweep_point(args, base_vals: dict, base_sched: AnnealingSchedule, value) ->
     return row
 
 
-def _sweep_workers(requested: int | None, points: int) -> int:
-    """Worker processes for a sweep of `points` points.
+def _sweep_share(args, base_vals: dict, base_sched: AnnealingSchedule, values) -> list[dict]:
+    """The rows of `values`, solved in order in this process.
 
-    The default is min(8, usable CPUs, points).  A requested count is
-    capped at `points`: a fork pool starts all of its workers at once.
+    A module-level function, so that a worker process can unpickle it.
+    """
+    return [_sweep_point(args, base_vals, base_sched, v) for v in values]
+
+
+def _sweep_workers(requested: int | None, points: int) -> int:
+    """Solving processes for a sweep of `points` points.
+
+    The count includes the calling process, which solves its own share
+    beside count - 1 forked workers.  The default is min(8, usable CPUs,
+    points).  A requested count is capped at `points`, so that every
+    process has a point: a fork pool starts all of its workers at once.
     """
     if requested is None:
         if hasattr(os, "sched_getaffinity"):
@@ -543,9 +550,8 @@ def cmd_sweep(args) -> int:
     base_vals = _typed_values(fields, args.spec_file)
     base_sched = _build_schedule(fields, args.spec_file, args)
     workers = _sweep_workers(args.workers, len(values))
-    point = functools.partial(_sweep_point, args, base_vals, base_sched)
     if workers == 1:
-        rows = [point(v) for v in values]
+        rows = _sweep_share(args, base_vals, base_sched, values)
     else:
         # imported here, so that importing the cli loads no multiprocessing
         import multiprocessing
@@ -553,8 +559,16 @@ def cmd_sweep(args) -> int:
 
         # forked workers inherit the loaded package instead of importing numpy
         ctx = multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            rows = list(pool.map(point, values))
+        rows = [None] * len(values)
+        with ProcessPoolExecutor(max_workers=workers - 1, mp_context=ctx) as pool:
+            # worker w solves values[w::workers] while this process solves values[0::workers]
+            shares = {
+                w: pool.submit(_sweep_share, args, base_vals, base_sched, values[w::workers])
+                for w in range(1, workers)
+            }
+            rows[0::workers] = _sweep_share(args, base_vals, base_sched, values[0::workers])
+            for w, share in shares.items():
+                rows[w::workers] = share.result()
 
     stream = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
@@ -616,8 +630,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes (default: min(8, usable CPUs, points); "
-        "1 runs in this process); the CSV does not depend on it",
+        metavar="W",
+        help="solving processes: this one plus W-1 forked workers (default: "
+        "min(8, usable CPUs, points); 1 forks none); the CSV does not depend on it",
     )
     sw.add_argument("--out", help="write CSV here (default: stdout)")
     sw.set_defaults(func=cmd_sweep)

@@ -326,14 +326,45 @@ def test_sweep_csv_independent_of_workers(tmp_path):
     for name, (text, sweep, expect) in sweeps.items():
         spec = write(tmp_path / "spec.txt", text)
         outs = []
-        for workers in ("1", "2"):
+        # 3 is this process plus two workers; the 20-point sweep splits 7/7/6
+        for workers in ("1", "2", "3"):
             outs.append(tmp_path / f"w{workers}.csv")
             argv = ["sweep", *sweep[:2], spec, *sweep[2:], "--workers", workers]
             assert main([*argv, "--seed", "1", "--out", str(outs[-1])]) == 0
             # the pool is shut down, and its workers joined, when main returns
             assert multiprocessing.active_children() == []
         assert expect in outs[0].read_text(), name
-        assert outs[0].read_bytes() == outs[1].read_bytes(), name
+        for out in outs[1:]:
+            assert out.read_bytes() == outs[0].read_bytes(), (name, out.name)
+
+
+def test_sweep_error_in_callers_share_joins_the_pool(tmp_path, monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    spec = write(tmp_path / "spec.txt", "gamma = 0.2\nn = 1\nrate = 1\neps_out = 0.1\n" + LIGHT_SCHEDULE)
+    events = []
+    solve_point = cli._sweep_point
+
+    def failing_point(args, base_vals, base_sched, value):
+        if value == 0.1:  # values[0::2]: this process's share, not the worker's
+            events.append("raise")
+            raise RuntimeError("point failed")
+        return solve_point(args, base_vals, base_sched, value)
+
+    shutdown = ProcessPoolExecutor.shutdown
+
+    def recording_shutdown(self, *a, **kw):
+        workers = multiprocessing.active_children()
+        shutdown(self, *a, **kw)
+        events.append(("shutdown", [p.exitcode for p in workers]))
+
+    monkeypatch.setattr(cli, "_sweep_point", failing_point)
+    monkeypatch.setattr(ProcessPoolExecutor, "shutdown", recording_shutdown)
+    with pytest.raises(RuntimeError, match="point failed"):
+        main(["sweep", "eps_out", "0.1,0.2,0.3", spec, "--workers", "2", "--out", str(tmp_path / "s.csv")])
+    # the one worker had finished its share and been joined before the error left main
+    assert events == ["raise", ("shutdown", [0])]
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_worker_count(monkeypatch):
