@@ -20,9 +20,15 @@ before searching.
   units of N0/Omega, so scaling N0 and P_m by one power of two scales
   every power and moves nothing else.
 * Fixed rate: every state sends R, so the floor is PEAK itself and the
-  power of a row is (2^R - 1) sum_i pi_i/(-ln(1 - eps_i)).  lb =
-  max(lo, eps_1), so eps_0 >= eps_1, and the exploration rows have states
-  1..N-1 sorted into non-increasing order: two parts of the power order
+  power of a row is (2^R - 1) sum_i pi_i c_i, c_i = -1/ln(1 - eps_i).
+  By renewal-reward (Ross, Applied Probability Models with Optimization
+  Applications, 1970) that is (2^R - 1) C_0/L_0, the mean cost over the
+  mean length of a cycle from state 0 back to it: L_N = 1/(1 - eps_N),
+  C_N = c_N L_N, L_j = 1 + eps_j L_{j+1} and C_j = c_j + eps_j C_{j+1},
+  so one backward pass over the states prices a block of rows, and L_1 =
+  W_1 gives ub on the way, with no pi formed.  lb = max(lo, eps_1), so
+  eps_0 >= eps_1, and the exploration rows have states 1..N-1 sorted
+  into non-increasing order: two parts of the power order
   (eps non-increasing).  Without them, where gamma is about 0.6 or more,
   the polish can stall at a table with one state at the guard band
   1 - DELTA, up to 5% above the best table known.  On 2900 random solves
@@ -199,9 +205,9 @@ class _Buffers:
     block, four of them twice a block wide; without the buffers, variable-
     rate solves ran 8-26% longer at N = 30 and 50-75% longer at N = 100,
     with 4-7 and over 200 times the minor faults (gamma 0.2, eps_out 0.1,
-    2-core host).  The stationary law and the rate caps make a few
-    block-sized arrays each, and the search ran no slower without buffers
-    for them.
+    2-core host).  The variable rate's stationary law and rate caps, and
+    the fixed rate's outages and costs, make a few block-sized arrays each,
+    and the search ran no slower without buffers for them.
     """
 
     def __init__(self):
@@ -224,21 +230,30 @@ class _Buffers:
         return a[:rows]
 
 
-def _tail_sum(tail):
-    """W_1 of a state-major tail by one backward Horner pass.
+def _tail_sum(tail, cost=None):
+    """W_1 of a state-major tail by one backward Horner pass, and C_1 with a cost.
 
     tail[j] holds eps_{j+1} of every row: an (N, rows) array, the
     transpose of a row-major block.  w_j = eps_1*...*eps_{j-1}, the
     terminal one over (1 - eps_N), are the stationary weights behind
     state 0: pi = (1, eps_0*w)/(1 + eps_0*W_1) with W_1 = sum_j w_j =
-    1 + eps_1(1 + ... + eps_{N-1}/(1 - eps_N)).
+    1 + eps_1(1 + ... + eps_{N-1}/(1 - eps_N)).  W_1 is also L_1, the
+    mean number of slots from state 1 back to state 0, by L_N = 1/(1 -
+    eps_N) and L_j = 1 + eps_j L_{j+1}.  With cost[j] = c_{j+1}, a cost
+    per slot in state j+1 laid out as tail, the same pass carries C_1 =
+    sum_j w_j c_j, the mean cost of those slots, by C_N = c_N L_N and
+    C_j = c_j + eps_j C_{j+1}, and returns (L_1, C_1).
     """
     w1 = np.subtract(1.0, tail[-1])
     np.divide(1.0, w1, out=w1)
+    c1 = None if cost is None else cost[-1] * w1
     for j in range(len(tail) - 2, -1, -1):
         w1 *= tail[j]
         w1 += 1.0
-    return w1
+        if c1 is not None:
+            c1 *= tail[j]
+            c1 += cost[j]
+    return w1 if c1 is None else (w1, c1)
 
 
 def _rate_caps(coef, pi, spec: ProblemSpec):
@@ -336,7 +351,8 @@ class _Search:
     """Powers of rows u, and the cheapest row over every batch.
 
     A row u in [0, 1]^(N+1) is a table (see the module docstring); a
-    subclass gives its rates and power in `tables`.  The search works in
+    subclass gives its outages, rates and power in `tables`, and the
+    search reads only the powers, from `prices`.  The search works in
     units of N0/Omega: `spec` is the problem with P_m in those units and
     N0 = Omega = 1, and `unit` converts its powers to W.  `floor` is the
     outage below which no state meets PEAK at `rate`.
@@ -363,6 +379,10 @@ class _Search:
         lb = self.least_eps0(e)
         e[:, 0] = u[:, 0] * (ub - lb) + lb
         return e, ub >= lb
+
+    def prices(self, u):
+        """Powers of rows u, inf where infeasible."""
+        return self.tables(u)[2]
 
     def least_eps0(self, e):
         """The smallest eps_0 of rows e, given their other outages."""
@@ -406,7 +426,7 @@ class _Search:
         for a in range(0, rows, step):
             u = make(a, min(a + step, rows))
             block = p[a:a + len(u)]
-            block[:] = self.tables(u)[2]
+            block[:] = self.prices(u)
             if keep:
                 # the `keep` cheapest rows are among each block's own `keep` cheapest
                 pick = np.argsort(block, kind="stable")[:keep]
@@ -439,14 +459,41 @@ class _FixedSearch(_Search):
 
     def tables(self, u):
         """Outages, rates and powers (inf where infeasible) of rows u."""
-        e, ok = self.outages(u)
-        power = np.einsum("ij,ij->i", -1.0 / np.log1p(-e), product_form(e))
-        power *= 2.0**self.spec.avg_rate - 1.0
-        power[~ok] = np.inf
+        e = self.outages(u)[0]
         if len(self.rates) < len(e):  # rows of R, sliced for every later block
             self.rates = np.full(e.shape, self.spec.avg_rate)
             self.rates.flags.writeable = False
-        return e, self.rates[:len(e)], power
+        return e, self.rates[:len(e)], self.prices(u)
+
+    def prices(self, u):
+        """Powers of rows u, inf where infeasible, as cycle cost over cycle length.
+
+        One backward pass over the state-major outages: L_1 and C_1 from
+        _tail_sum with c_j = -1/ln(1 - eps_j), then eps_0 from its bounds
+        and the power (2^R - 1) C_0/L_0 = (2^R - 1)(c_0 + eps_0 C_1)/(1 +
+        eps_0 L_1).  The outages are those of `outages`, bit for bit.
+        """
+        e = np.multiply(u.T, self.span[:, None], out=np.empty(u.shape[::-1]))
+        e += self.lo
+        tail, cost = e[1:], np.negative(e[1:])
+        np.log1p(cost, out=cost)
+        np.divide(-1.0, cost, out=cost)
+        length, power = _tail_sum(tail, cost)
+        room = np.divide(self.odds, length)
+        np.minimum(room, 1.0 - DELTA, out=room)
+        lb = np.maximum(tail[0], self.lo)
+        room -= lb  # ub - lb, negative exactly where ub < lb
+        e0 = np.multiply(u[:, 0], room, out=e[0])
+        e0 += lb
+        power *= e0
+        length *= e0
+        length += 1.0
+        np.log1p(np.negative(e0, out=e0), out=e0)
+        power -= 1.0 / e0  # + c_0
+        power /= length
+        power *= 2.0**self.spec.avg_rate - 1.0
+        power[room < 0.0] = np.inf
+        return power
 
     def least_eps0(self, e):
         """eps_0 >= eps_1, as the power order has it."""

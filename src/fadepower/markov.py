@@ -5,10 +5,11 @@ success returns the chain to state 0; a loss in state i < N advances to
 state i+1, and a loss in the terminal state N self-loops.  With per-state
 outage probabilities eps[i] strictly inside (0, 1) the chain is
 irreducible and aperiodic, so the stationary distribution exists and is
-unique.  product_form gives it in closed form and is the route every
-power of the package is summed over; steady_state solves pi = pi A
-densely for any row-stochastic matrix, the reference the tests hold the
-product form to.
+unique.  product_form gives it in closed form and is the route of every
+stationary distribution the package forms (the fixed-rate search forms
+none: it prices its rows by renewal-cycle sums); steady_state solves pi =
+pi A densely for any row-stochastic matrix, the reference the tests hold
+the product form to.
 """
 
 from __future__ import annotations

@@ -18,6 +18,8 @@ rejected for round-off.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,11 +44,12 @@ class ProblemSpec:
     """All loss/rate/power targets of one link-policy problem.
 
     gamma       average packet-loss target in (0, 1)
-    n_states    burst bound N >= 1 (maximum tolerated consecutive losses)
+    n_states    burst bound N >= 1, an integer (maximum tolerated
+                consecutive losses)
     eps_out     burst-outage target in (0, 1): admissible probability of
                 losing yet another packet once N are already lost
-    avg_rate    required average transmitted rate R (bits/s/Hz)
-    r_min       minimum per-state rate (bits/s/Hz)
+    avg_rate    required average transmitted rate R > 0, finite (bits/s/Hz)
+    r_min       minimum per-state rate, finite, 0 <= r_min <= r_max (bits/s/Hz)
     r_max       maximum per-state rate (bits/s/Hz)
     peak_power  per-state transmit power cap P_m (watts)
     channel     fading/noise model the powers refer to
@@ -64,14 +67,16 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if int(self.n_states) != self.n_states or self.n_states < 1:
+        if not isinstance(self.n_states, numbers.Integral):
+            raise ValueError("N must be an integer")
+        if self.n_states < 1:
             raise ValueError("N must be >= 1")
         if not 0.0 < self.eps_out < 1.0:
             raise ValueError("eps_out must lie in (0, 1)")
-        if not self.avg_rate > 0.0:
-            raise ValueError("avg_rate must be positive")
-        if self.r_min < 0.0 or self.r_min > self.r_max:
-            raise ValueError("need 0 <= r_min <= r_max")
+        if not 0.0 < self.avg_rate < math.inf:  # NaN fails both comparisons
+            raise ValueError("avg_rate must be positive and finite")
+        if not (0.0 <= self.r_min <= self.r_max and math.isfinite(self.r_min)):
+            raise ValueError("need 0 <= r_min <= r_max, r_min finite")
         if not self.peak_power > 0.0:
             raise ValueError("peak_power must be positive")
 

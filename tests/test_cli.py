@@ -71,6 +71,16 @@ def test_solve_rejects_inverted_rate_bounds(tmp_path, capsys):
     assert "r_min" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("problem", ["fixed", "variable"])
+def test_solve_rejects_nan_rate_floor(tmp_path, capsys, problem):
+    # NaN passes no comparison, so 0 <= r_min <= r_max must be asked as such
+    spec = write(tmp_path / "spec.txt", "n = 1\neps_out = 0.1\nrate = 1\nr_min = nan\n")
+    out = tmp_path / "out.json"
+    assert main(["solve", problem, spec, "--out", str(out)]) == 1
+    assert "r_min" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_diagnoses_malformed_lines(tmp_path, capsys):
     spec = write(tmp_path / "spec.txt", "n = 1\nbogus_key = 3\n")
     assert main(["solve", "fixed", spec]) == 1

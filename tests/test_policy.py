@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,11 +43,19 @@ def test_spec_validation_messages():
         spec1(eps_out=0.0)
     with pytest.raises(ValueError, match="avg_rate"):
         spec1(avg_rate=0.0)
-    with pytest.raises(ValueError, match="r_min"):
-        ProblemSpec(
-            gamma=0.2, n_states=1, eps_out=0.1, avg_rate=1.0,
-            r_min=2.0, r_max=1.0, peak_power=100.0, channel=CH,
-        )
+    for r_min, r_max in ((2.0, 1.0), (-0.1, 1.0), (math.nan, 1.0), (0.001, math.nan),
+                         (math.inf, math.inf), (math.nan, math.nan)):
+        with pytest.raises(ValueError, match="r_min"):
+            ProblemSpec(
+                gamma=0.2, n_states=1, eps_out=0.1, avg_rate=1.0,
+                r_min=r_min, r_max=r_max, peak_power=100.0, channel=CH,
+            )
+    for rate in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="avg_rate"):
+            spec1(avg_rate=rate)
+    for n in (2.0, math.inf, math.nan, "2"):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            spec1(n=n)
     with pytest.raises(ValueError, match="peak_power"):
         spec1(peak=0.0)
 
