@@ -3,8 +3,10 @@
 The fixed-rate problem is the variable-rate problem with every rate
 pinned at R, and both solvers run one search over the outage vector.
 They differ only in the map from a searched row to a table and its
-power, in the peak floor of that map, and in the certificates checked
-before searching.
+power, in the peak floor of that map, in the certificates checked
+before searching, and in the first start: the fixed-rate search starts
+from the table of an exact Lagrangian pass, which also bounds its power
+from below.
 
 * Coordinates.  A row u in [0, 1]^(N+1) is a table: eps_j = lo +
   u_j (hi_j - lo) for j >= 1 and eps_0 = lb + u_0 (ub - lb), with
@@ -52,6 +54,32 @@ before searching.
   when sum pi_i r_min >= R), with no tolerance loop.  One argsort along
   the rows sorts the kinks of a batch, and flat-index takes gather from
   it.
+* Fixed-rate start: a Lagrangian renewal-reward pass (Altman,
+  Constrained Markov Decision Processes, 1999; Dinkelbach, Management
+  Science 13, 1967), in scalar floats.  With u = -ln(1 - eps) and k =
+  2^R - 1 (units of N0/Omega), state i costs k/u a slot, and a cycle from
+  state 0 has Lambda_0 = L_0 - 1 losses, Lambda_N = eps_N/(1 - eps_N) and
+  Lambda_i = eps_i(1 + Lambda_{i+1}); C2 is Lambda_0 <= odds.  For a
+  multiplier mu >= 0 on C2 and a ratio lam, one backward pass takes the
+  table minimising C_0 + mu Lambda_0 - lam L_0 state by state, from u in
+  [u_lo, -ln DELTA] (u_lo the peak floor; eps_N up to min(eps_out, 1 -
+  DELTA)).  State N minimises (k/u + mu eps - lam)/(1 - eps) at its box
+  ends and the roots of (lam - mu) u^2 - k u + k = 0 in the box, its
+  value V_N; state i < N minimises k/u - c e^-u, c = mu + V_{i+1}, at its
+  box ends and, when c > 0 and k/c <= 4 e^-2, at u = -2 W_0(-sqrt(k/c)/2)
+  (its only interior minimum; W_0 by Halley steps), and V_i = k/u + mu eps
+  - lam + eps V_{i+1}.  Dinkelbach steps lam <- (C_0 + mu Lambda_0)/L_0,
+  warm-started from the previous mu, until lam moves by at most 4e-16
+  relative give lambda(mu), the least ratio.  mu = 0 comes first; when
+  its table breaks C2, mu doubles from 1 until the table meets it, then
+  Illinois regula falsi on Lambda_0(mu) - odds narrows the bracket until
+  the gap below is at most 1e-13 or the bracket 1e-15 relative.  The pass
+  returns the cheapest table with Lambda_0 <= odds and the dual D = max
+  lambda(mu) - mu gamma over every mu tried; no table meeting C2 costs
+  less than D, so (P - D)/P, P the table's power, certifies it.  The pass
+  takes 0.1-1 ms at N <= 10 and certifies gamma 0.2 to about 1e-16; a gap
+  is left only where the best deterministic table lies above the dual,
+  mostly at gamma 0.6 or more.
 * The family: eps_1..eps_{k-1} = 1 - DELTA ("sacrificial bursts", where
   a state costs least power, and the variable-rate C1 counts the
   transmitted rate), eps_k..eps_N one tail outage and eps_0 on its loss
@@ -59,14 +87,20 @@ before searching.
   on (lo, hi_N] at every depth k = 1..N, then 4 times over 257 points
   between the neighbours of the best point, at its depth.  States that
   repeat eps_N act as its self-loop, so the family of N holds that of
-  every smaller N.
+  every smaller N.  The fixed-rate search runs it only where the pass
+  leaves a gap above 1e-9.  Where the pass certifies, the family adds
+  nothing (at gamma 0.2, eps_out 0.1 its best lies 12% above the optimum
+  at N = 3, 6 and 10); in the gap regime a search without it ended up to
+  1.9e-9 higher on 3 of 25 random specs (gamma 0.64-0.67).
 * Exploration: rows uniform in the polish's coordinates z, from
   np.random.default_rng(seed): 4096 in the first round and twice as many
   in each later one, at most 4 rounds.
 * Polish: a coordinate pattern search in z, u_j = s(z_j) with s the
   logistic function rescaled to map [-12, 12] onto [0, 1], and z clipped
-  there.  Its starts are the family's best table (first round only) and
-  the round's 6 cheapest exploration rows.  Each iteration evaluates every
+  there.  Its starts are, in the first round only, the pass's table
+  (fixed rate; clipped into the row's bounds, eps_0 >= eps_1 among them)
+  and the family's best table, and in every round the round's 6 cheapest
+  exploration rows.  Each iteration evaluates every
   single-coordinate move z_d + h*o, o in linspace(-1, 1, 8), of every
   live start as one batch.  A start takes its best move when that lowers
   its power by more than 1e-9 relative and divides its step h by 4
@@ -78,10 +112,16 @@ before searching.
   is offered as the running best, and a start's best move is written
   into its z and u from the batch.
 * Rounds: a round after the first runs only while nothing feasible has
-  been found or the round before lowered the best (its exploration
-  starts ended below every table known before them, the polished family
-  in the first round).  No batch starts after 2^22 rows, which bounds the
-  run time of a solve for every input.
+  been found or the round before lowered the best by more than 1e-9
+  relative (its exploration starts ended that far below every table
+  known before them, the polished first-round starts in the first
+  round), so exploration starts that tie a certified start to its last
+  bits end the search.  The first round runs even where the pass
+  certifies its table.  No batch starts after 2^22 rows, which bounds
+  the run time of a solve for every input.
+* Result: the search's best table; for the fixed rate, the pass's table
+  instead where average_power puts it lower, so no result lies above the
+  pass, and SolveResult.lower_bound = min(D, best_avg_power) in W.
 * Blocks: each batch (257 N family rows, an exploration round, 8 (N + 1)
   moves per live start) is built and evaluated in blocks of about 2^17
   outages, in row order, at every N, so a solve holds one block of rows
@@ -131,6 +171,12 @@ _LOGIT_FLOOR = 1.0 / (1.0 + math.exp(_LOGIT_MAX))
 _TOL, _DROP = 1e-9, 0.01
 _MAX_ROWS = 2**22
 _BLOCK_ELEMENTS = 2**17
+# The Lagrangian pass: Dinkelbach's stop and pass cap, the multiplier
+# search's stops (gap, bracket, steps, doublings), and the gap above which
+# the fixed-rate search also runs the family.
+_DINKELBACH_TOL, _DINKELBACH_PASSES = 4e-16, 100
+_GAP_STOP, _BRACKET_STOP, _MU_STEPS, _MU_DOUBLINGS = 1e-13, 1e-15, 200, 200
+_CERTIFIED = 1e-9
 
 
 @dataclass(frozen=True)
@@ -160,6 +206,12 @@ class SolveResult:
     the search computed it, best_avg_power the re-evaluation of the best
     table by average_power: they agree to about 1e-15 relative, not bit
     for bit.
+
+    lower_bound is, for the fixed-rate problem, the Lagrangian dual D in W
+    (see the module docstring): no table's power lies below it.  It is
+    capped at best_avg_power, which D exceeds only by rounding, so
+    (best_avg_power - lower_bound)/best_avg_power is the gap left to
+    certify.  It is None for the variable-rate problem.
     """
 
     best_avg_power: float
@@ -168,6 +220,7 @@ class SolveResult:
     feasible_count: int
     evaluated_count: int
     trace: tuple[tuple[float, float, float], ...]
+    lower_bound: float | None = None
 
 
 class NoFeasibleSolution(ValueError):
@@ -254,6 +307,145 @@ def _tail_sum(tail, cost=None):
             c1 *= tail[j]
             c1 += cost[j]
     return w1 if c1 is None else (w1, c1)
+
+
+def _lambert_w0(x: float) -> float:
+    """The principal branch W_0(x) for -1/e <= x < 0, by Halley steps.
+
+    The first guess is the branch-point series -1 + p - p^2/3 + 11 p^3/72,
+    p = sqrt(2(e x + 1)), below x = -0.32 and x(1 - x + 3x^2/2) above it
+    (Corless et al., "On the Lambert W function", Adv. Comput. Math. 5,
+    1996); Halley's method then converges cubically, in at most 3 steps.
+    Near -1/e W_0 is ill-conditioned, with relative condition number 1/(1
+    + W_0), so there the result carries that factor times the rounding.
+    """
+    if x < -0.32:
+        p = math.sqrt(max(2.0 * (math.e * x + 1.0), 0.0))
+        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
+    else:
+        w = x * (1.0 - x + 1.5 * x * x)
+    for _ in range(8):
+        if w == -1.0:  # the branch point, where Halley's step divides by zero
+            break
+        ew = math.exp(w)
+        f = w * ew - x
+        step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        w -= step
+        if abs(step) <= 1e-8 * abs(w):  # the next step would move w below rounding
+            break
+    return w
+
+
+def _lagrangian_pass(k: float, lo: float, top: float, n: int, gamma: float):
+    """The fixed-rate Lagrangian renewal-reward pass; see the module docstring.
+
+    k = 2^R - 1, outages in [lo, 1 - DELTA] and eps_N in [lo, top], powers
+    in units of N0/Omega.  Returns (table, power, dual): the cheapest greedy
+    table with Lambda_0 <= gamma/(1 - gamma) as a list of outages, or None
+    when no multiplier tried gives one (and always when lo > top), its
+    power, and the dual D = max lambda(mu) - mu gamma over the multipliers
+    tried.
+    """
+    if lo > top:
+        return None, math.inf, math.inf
+    odds = gamma / (1.0 - gamma)
+    hi = 1.0 - DELTA
+    u_lo, u_hi, u_top = (-math.log1p(-e) for e in (lo, hi, top))
+    w_max = 4.0 * math.exp(-2.0)  # k/c at the branch point -sqrt(k/c)/2 = -1/e
+
+    def greedy(mu: float, lam: float):
+        """The table minimising C_0 + mu Lambda_0 - lam L_0, with its L_0, C_0 and Lambda_0."""
+        # state N: (k/u + mu eps - lam)/(1 - eps) at the box ends and at the
+        # roots of (lam - mu) u^2 - k u + k = 0 inside the box
+        a = lam - mu
+        cands = [(lo, u_lo), (top, u_top)]
+        if a == 0.0:
+            roots = (1.0,)
+        elif (disc := k * k - 4.0 * a * k) >= 0.0:
+            q = 0.5 * (k + math.sqrt(disc))
+            roots = (q / a, k / q)
+        else:
+            roots = ()
+        cands += [(-math.expm1(-u), u) for u in roots if u_lo < u < u_top]
+        v = math.inf
+        for e, u in cands:
+            x = (k / u + mu * e - lam) / (1.0 - e)
+            if x < v:
+                v, eps, cost = x, e, k / u
+        table = [eps]
+        length = 1.0 / (1.0 - eps)
+        total, losses = cost * length, eps * length
+        for _ in range(n):
+            # states N-1..0: k/u - lam + eps c, c = mu + V_{i+1}, at the box
+            # ends and the minimum -2 W_0(-sqrt(k/c)/2) of k/u - c e^-u
+            c = mu + v
+            cands = [(lo, u_lo), (hi, u_hi)]
+            if c > 0.0 and k <= w_max * c:
+                u = -2.0 * _lambert_w0(-0.5 * math.sqrt(k / c))
+                if u_lo < u < u_hi:
+                    cands.append((-math.expm1(-u), u))
+            v = math.inf
+            for e, u in cands:
+                x = k / u - lam + e * c
+                if x < v:
+                    v, eps, cost = x, e, k / u
+            table.append(eps)
+            length = 1.0 + eps * length
+            total = cost + eps * total
+            losses = eps * (1.0 + losses)
+        table.reverse()
+        return table, length, total, losses
+
+    def ratio(mu: float, lam: float):
+        """lambda(mu) by Dinkelbach steps from lam, with its greedy table."""
+        for _ in range(_DINKELBACH_PASSES):
+            table, length, total, losses = greedy(mu, lam)
+            new = (total + mu * losses) / length
+            if abs(new - lam) <= _DINKELBACH_TOL * abs(new):
+                break
+            lam = new
+        return new, table, total / length, losses - odds
+
+    best, best_power, dual, lam = None, math.inf, -math.inf, 0.0
+
+    def visit(mu: float) -> float:
+        """Solve at multiplier mu and keep the bound and the best table; returns Lambda_0 - odds."""
+        nonlocal best, best_power, dual, lam
+        lam, table, power, excess = ratio(mu, lam)
+        dual = max(dual, lam - mu * gamma)
+        if excess <= 0.0 and power < best_power:
+            best, best_power = table, power
+        return excess
+
+    ha = visit(0.0)
+    if ha > 0.0:
+        # double mu from 1 until the greedy table meets C2, then Illinois
+        # regula falsi on Lambda_0(mu) - odds over the bracket [a, b]
+        a, b = 0.0, 1.0
+        for _ in range(_MU_DOUBLINGS):
+            if (hb := visit(b)) <= 0.0:
+                break
+            a, ha, b = b, hb, 2.0 * b
+        else:
+            return best, best_power, dual
+        side = 0
+        for _ in range(_MU_STEPS):
+            if best_power - dual <= _GAP_STOP * best_power or b - a <= _BRACKET_STOP * b:
+                break
+            m = b - hb * (b - a) / (hb - ha)
+            if not a < m < b:
+                m = 0.5 * (a + b)
+            if (hm := visit(m)) > 0.0:
+                a, ha = m, hm
+                if side > 0:
+                    hb *= 0.5
+                side = 1
+            else:
+                b, hb = m, hm
+                if side < 0:
+                    ha *= 0.5
+                side = -1
+    return best, best_power, dual
 
 
 def _rate_caps(coef, pi, spec: ProblemSpec):
@@ -449,6 +641,25 @@ class _Search:
             self.best, self.best_row = float(power), row
             self.improved += 1
 
+    def starts(self) -> list:
+        """Rows for the first round to polish beside its exploration rows: the family's best.
+
+        The family runs on a log grid of its tail outage at every depth,
+        then zoomed about its best point at that point's depth.
+        """
+        grid = np.geomspace(self.lo, self.top, _FAMILY_ROWS + 1)[1:]
+        depths = range(1, self.span.size)
+        for _ in range(_FAMILY_ZOOMS + 1):
+            _, top, _ = self.powers(len(depths) * grid.size, self.family(depths, grid))
+            k, i = divmod(int(top[0]), grid.size)
+            depths = [depths[k]]
+            grid = np.geomspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], _FAMILY_ROWS)
+        return [] if self.best_row is None else [self.best_row]
+
+    def finish(self, result: SolveResult) -> SolveResult:
+        """The result to return for the search's best table."""
+        return result
+
 
 class _FixedSearch(_Search):
     """The fixed-rate problem: every state sends R, and eps_0 >= eps_1."""
@@ -494,6 +705,35 @@ class _FixedSearch(_Search):
         power *= 2.0**self.spec.avg_rate - 1.0
         power[room < 0.0] = np.inf
         return power
+
+    def starts(self) -> list:
+        """The Lagrangian pass's table, and the family's best where the pass's gap exceeds 1e-9."""
+        self.exact, power, self.dual = _lagrangian_pass(
+            2.0**self.spec.avg_rate - 1.0, self.floor, self.top, self.spec.n_states, self.spec.gamma)
+        rows = [] if self.exact is None else [self.row(self.exact)]
+        if self.exact is None or power - self.dual > _CERTIFIED * power:
+            rows += super().starts()
+        return rows
+
+    def row(self, eps) -> np.ndarray:
+        """The row u of table eps, clipped into the search's bounds (eps_0 >= eps_1 among them)."""
+        e = np.asarray(eps, dtype=float)
+        u = np.divide(e - self.lo, self.span, out=np.zeros(e.size), where=self.span > 0.0)
+        np.clip(u, 0.0, 1.0, out=u)
+        tail = u[1:, None] * self.span[1:, None] + self.lo  # state-major, as `outages` forms it
+        ub = min(self.odds / float(_tail_sum(tail)[0]), 1.0 - DELTA)
+        lb = max(float(tail[0, 0]), self.lo)
+        u[0] = min(max((e[0] - lb) / (ub - lb), 0.0), 1.0) if ub > lb else 0.0
+        return u
+
+    def finish(self, result: SolveResult) -> SolveResult:
+        """The cheaper of the search's table and the pass's, with the dual as lower_bound."""
+        if self.exact is not None:
+            own = make_policy(self.exact, (self.spec.avg_rate,) * len(self.exact), self.channel)
+            power = average_power(own.powers, steady_state_for(own.eps))
+            if power < result.best_avg_power:
+                result = replace(result, best_avg_power=power, best_policy=own)
+        return replace(result, lower_bound=min(self.dual * self.unit, result.best_avg_power))
 
     def least_eps0(self, e):
         """eps_0 >= eps_1, as the power order has it."""
@@ -596,17 +836,9 @@ def _certified_infeasible(spec: ProblemSpec) -> bool:
 
 
 def _solve(search: _Search, seed: int) -> SolveResult:
-    """The family, then rounds of exploration rows polished; see the module docstring."""
+    """The search's starts, then rounds of exploration rows polished; see the module docstring."""
     n1 = search.span.size
-    # the family on a log grid of its tail outage, zoomed about its best point
-    grid = np.geomspace(search.lo, search.top, _FAMILY_ROWS + 1)[1:]
-    depths = range(1, n1)
-    for _ in range(_FAMILY_ZOOMS + 1):
-        _, top, _ = search.powers(len(depths) * grid.size, search.family(depths, grid))
-        k, i = divmod(int(top[0]), grid.size)
-        depths = [depths[k]]
-        grid = np.geomspace(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], _FAMILY_ROWS)
-    carry = [] if search.best_row is None else [search.best_row]
+    carry = search.starts()
     rng = np.random.default_rng(seed)
 
     def explore(a: int, b: int):
@@ -621,14 +853,14 @@ def _solve(search: _Search, seed: int) -> SolveResult:
         starts = np.vstack([*carry, u[p[pick] < np.inf]])
         end = _polish(search, starts, trace) if len(starts) else np.empty(0)
         old = end[:len(carry)].min(initial=before)
-        if search.best_row is not None and not end[len(carry):].min(initial=math.inf) < old:
+        if search.best_row is not None and not end[len(carry):].min(initial=math.inf) < old * (1.0 - _TOL):
             break
         carry, before = [], search.best
     if search.best_row is None:
         raise NoFeasibleSolution(search.evaluated)
     e, rates, _ = search.tables(search.best_row[None])
-    return _result(make_policy(e[0], rates[0], search.channel), search.improved,
-                   search.feasible, search.evaluated, trace)
+    return search.finish(_result(make_policy(e[0], rates[0], search.channel), search.improved,
+                                 search.feasible, search.evaluated, trace))
 
 
 def solve_fixed(spec: ProblemSpec, schedule: AnnealingSchedule) -> SolveResult:

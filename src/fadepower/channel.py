@@ -26,19 +26,20 @@ class ChannelModel:
     Attributes
     ----------
     mean_fading_power:
-        Mean channel power gain E[|h|^2] (dimensionless).
+        Mean channel power gain E[|h|^2] (dimensionless), positive and finite.
     noise_power:
-        Noise power N0 in linear watts.
+        Noise power N0 in linear watts, positive and finite.
     """
 
     mean_fading_power: float = 1.0
     noise_power: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.mean_fading_power > 0.0:
-            raise ValueError("mean_fading_power must be positive")
-        if not self.noise_power > 0.0:
-            raise ValueError("noise_power must be positive")
+        # NaN fails both comparisons
+        if not 0.0 < self.mean_fading_power < math.inf:
+            raise ValueError("mean_fading_power must be positive and finite")
+        if not 0.0 < self.noise_power < math.inf:
+            raise ValueError("noise_power must be positive and finite")
 
 
 def outage_probability(power: float, rate: float, ch: ChannelModel) -> float:

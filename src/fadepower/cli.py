@@ -260,6 +260,7 @@ def cmd_solve(args) -> int:
         "restarts": args.restarts,
         "seed": best_seed,
         "best_avg_power": best.best_avg_power,
+        "lower_bound": best.lower_bound,
         "best_policy": asdict(best.best_policy),
         "accepted_count": best.accepted_count,
         "feasible_count": best.feasible_count,

@@ -51,7 +51,7 @@ class ProblemSpec:
     avg_rate    required average transmitted rate R > 0, finite (bits/s/Hz)
     r_min       minimum per-state rate, finite, 0 <= r_min <= r_max (bits/s/Hz)
     r_max       maximum per-state rate (bits/s/Hz)
-    peak_power  per-state transmit power cap P_m (watts)
+    peak_power  per-state transmit power cap P_m > 0, finite (watts)
     channel     fading/noise model the powers refer to
     """
 
@@ -77,8 +77,8 @@ class ProblemSpec:
             raise ValueError("avg_rate must be positive and finite")
         if not (0.0 <= self.r_min <= self.r_max and math.isfinite(self.r_min)):
             raise ValueError("need 0 <= r_min <= r_max, r_min finite")
-        if not self.peak_power > 0.0:
-            raise ValueError("peak_power must be positive")
+        if not 0.0 < self.peak_power < math.inf:  # NaN fails both comparisons
+            raise ValueError("peak_power must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,9 @@ def test_channel_model_validation():
         ChannelModel(mean_fading_power=0.0)
     with pytest.raises(ValueError, match="noise_power"):
         ChannelModel(noise_power=-1.0)
+    # an infinite or NaN field names itself
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="mean_fading_power must be positive and finite"):
+            ChannelModel(mean_fading_power=bad)
+        with pytest.raises(ValueError, match="noise_power must be positive and finite"):
+            ChannelModel(noise_power=bad)

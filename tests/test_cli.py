@@ -81,6 +81,32 @@ def test_solve_rejects_nan_rate_floor(tmp_path, capsys, problem):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, field", [("peak_power_w = inf", "peak_power"),
+                                         ("noise_power = inf", "noise_power")])
+def test_solve_rejects_an_infinite_power_field(tmp_path, capsys, line, field):
+    # an infinite peak power once solved (exit 0, bare Infinity tokens in
+    # the JSON) and an infinite noise power blamed r_min/r_max
+    spec = write(tmp_path / "spec.txt", f"n = 1\neps_out = 0.1\nrate = 1\n{line}\n")
+    out = tmp_path / "out.json"
+    for problem in ("fixed", "variable"):
+        assert main(["solve", problem, spec, "--out", str(out)]) == 1
+        assert f"{field} must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_solve_writes_the_lower_bound(tmp_path):
+    # fixed rate: the Lagrangian dual, within 1e-12 below the power it
+    # certifies; variable rate: null
+    spec = write(tmp_path / "spec.txt", "n = 3\neps_out = 0.1\nrate = 1\n" + LIGHT_SCHEDULE)
+    out = tmp_path / "res.json"
+    assert main(["solve", "fixed", spec, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    bound, best = data["lower_bound"], data["best_avg_power"]
+    assert math.isfinite(bound) and bound <= best <= bound * (1.0 + 1e-12)
+    assert main(["solve", "variable", spec, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["lower_bound"] is None
+
+
 def test_solve_diagnoses_malformed_lines(tmp_path, capsys):
     spec = write(tmp_path / "spec.txt", "n = 1\nbogus_key = 3\n")
     assert main(["solve", "fixed", spec]) == 1

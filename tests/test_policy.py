@@ -56,8 +56,9 @@ def test_spec_validation_messages():
     for n in (2.0, math.inf, math.nan, "2"):
         with pytest.raises(ValueError, match="N must be an integer"):
             spec1(n=n)
-    with pytest.raises(ValueError, match="peak_power"):
-        spec1(peak=0.0)
+    for peak in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="peak_power must be positive and finite"):
+            spec1(peak=peak)
 
 
 def test_make_policy_consistency():
