@@ -70,13 +70,16 @@ from below.
   (its only interior minimum; W_0 by Halley steps), and V_i = k/u + mu eps
   - lam + eps V_{i+1}.  Dinkelbach steps lam <- (C_0 + mu Lambda_0)/L_0,
   warm-started from the previous mu, until lam moves by at most 4e-16
-  relative give lambda(mu), the least ratio.  mu = 0 comes first; when
-  its table breaks C2, mu doubles from 1 until the table meets it, then
-  Illinois regula falsi on Lambda_0(mu) - odds narrows the bracket until
-  the gap below is at most 1e-13 or the bracket 1e-15 relative.  The pass
-  returns the cheapest table with Lambda_0 <= odds and the dual D = max
-  lambda(mu) - mu gamma over every mu tried; no table meeting C2 costs
-  less than D, so (P - D)/P, P the table's power, certifies it.  The pass
+  relative give lambda(mu), the least ratio.  Every table has C_0 + mu
+  Lambda_0 - lam L_0 >= V_0 and L_0 >= 1, so lam + min(V_0, 0), from the
+  last step, bounds lambda(mu) from below however many steps ran.  mu = 0
+  comes first; when its table breaks C2, mu doubles from 1 until the
+  table meets it, then Illinois regula falsi on Lambda_0(mu) - odds
+  narrows the bracket until the gap below is at most 1e-13 or the
+  bracket 1e-15 relative.  The pass returns the cheapest table with
+  Lambda_0 <= odds and the dual D = max (that bound - mu gamma) over
+  every mu tried; no table meeting C2 costs less than D, so (P - D)/P,
+  P the table's power, certifies it.  The pass
   takes 0.1-1 ms at N <= 10 and certifies gamma 0.2 to about 1e-16; a gap
   is left only where the best deterministic table lies above the dual,
   mostly at gamma 0.6 or more.
@@ -119,9 +122,12 @@ from below.
   bits end the search.  The first round runs even where the pass
   certifies its table.  No batch starts after 2^22 rows, which bounds
   the run time of a solve for every input.
-* Result: the search's best table; for the fixed rate, the pass's table
-  instead where average_power puts it lower, so no result lies above the
-  pass, and SolveResult.lower_bound = min(D, best_avg_power) in W.
+* Result: the search's best table.  For the fixed rate, the pass's table
+  instead where the pass closed its gap to 1e-13 (a search table below it
+  lies below only by rounding, in states whose weight in the power is
+  below the rounding) or where average_power puts it lower, so no result
+  lies above the pass; and SolveResult.lower_bound = min(D, best_avg_power)
+  in W.
 * Blocks: each batch (257 N family rows, an exploration round, 8 (N + 1)
   moves per live start) is built and evaluated in blocks of about 2^17
   outages, in row order, at every N, so a solve holds one block of rows
@@ -208,10 +214,11 @@ class SolveResult:
     for bit.
 
     lower_bound is, for the fixed-rate problem, the Lagrangian dual D in W
-    (see the module docstring): no table's power lies below it.  It is
-    capped at best_avg_power, which D exceeds only by rounding, so
+    (see the module docstring): no feasible table's power lies below it.
+    It is capped at best_avg_power, which D exceeds only by rounding, so
     (best_avg_power - lower_bound)/best_avg_power is the gap left to
-    certify.  It is None for the variable-rate problem.
+    certify; where the pass closed that gap to 1e-13, best_policy is the
+    pass's table.  It is None for the variable-rate problem.
     """
 
     best_avg_power: float
@@ -354,7 +361,7 @@ def _lagrangian_pass(k: float, lo: float, top: float, n: int, gamma: float):
     w_max = 4.0 * math.exp(-2.0)  # k/c at the branch point -sqrt(k/c)/2 = -1/e
 
     def greedy(mu: float, lam: float):
-        """The table minimising C_0 + mu Lambda_0 - lam L_0, with its L_0, C_0 and Lambda_0."""
+        """The table minimising C_0 + mu Lambda_0 - lam L_0: its L_0, C_0, Lambda_0 and value V_0."""
         # state N: (k/u + mu eps - lam)/(1 - eps) at the box ends and at the
         # roots of (lam - mu) u^2 - k u + k = 0 inside the box
         a = lam - mu
@@ -394,25 +401,32 @@ def _lagrangian_pass(k: float, lo: float, top: float, n: int, gamma: float):
             total = cost + eps * total
             losses = eps * (1.0 + losses)
         table.reverse()
-        return table, length, total, losses
+        return table, length, total, losses, v
 
     def ratio(mu: float, lam: float):
-        """lambda(mu) by Dinkelbach steps from lam, with its greedy table."""
+        """lambda(mu) by Dinkelbach steps from lam, a lower bound on it, and the greedy table.
+
+        Every table has C_0 + mu Lambda_0 - lam L_0 >= V_0 and L_0 >= 1,
+        so its ratio is at least lam + min(V_0, 0): a bound on lambda(mu)
+        that holds however many steps ran, where the ratio of the last
+        table lies above lambda(mu) until the steps converge.
+        """
         for _ in range(_DINKELBACH_PASSES):
-            table, length, total, losses = greedy(mu, lam)
+            table, length, total, losses, value = greedy(mu, lam)
             new = (total + mu * losses) / length
+            bound = lam + min(value, 0.0)
             if abs(new - lam) <= _DINKELBACH_TOL * abs(new):
                 break
             lam = new
-        return new, table, total / length, losses - odds
+        return new, bound, table, total / length, losses - odds
 
     best, best_power, dual, lam = None, math.inf, -math.inf, 0.0
 
     def visit(mu: float) -> float:
         """Solve at multiplier mu and keep the bound and the best table; returns Lambda_0 - odds."""
         nonlocal best, best_power, dual, lam
-        lam, table, power, excess = ratio(mu, lam)
-        dual = max(dual, lam - mu * gamma)
+        lam, bound, table, power, excess = ratio(mu, lam)
+        dual = max(dual, bound - mu * gamma)
         if excess <= 0.0 and power < best_power:
             best, best_power = table, power
         return excess
@@ -710,6 +724,8 @@ class _FixedSearch(_Search):
         """The Lagrangian pass's table, and the family's best where the pass's gap exceeds 1e-9."""
         self.exact, power, self.dual = _lagrangian_pass(
             2.0**self.spec.avg_rate - 1.0, self.floor, self.top, self.spec.n_states, self.spec.gamma)
+        # the pass's own stop: no table lies below its table by more than 1e-13
+        self.closed = self.exact is not None and power - self.dual <= _GAP_STOP * power
         rows = [] if self.exact is None else [self.row(self.exact)]
         if self.exact is None or power - self.dual > _CERTIFIED * power:
             rows += super().starts()
@@ -727,11 +743,16 @@ class _FixedSearch(_Search):
         return u
 
     def finish(self, result: SolveResult) -> SolveResult:
-        """The cheaper of the search's table and the pass's, with the dual as lower_bound."""
+        """The pass's table where it closed its gap, else the cheaper of it and the search's.
+
+        A search table below a closed pass's table lies below it only by
+        rounding, in states of weight below the rounding of the power, so
+        the pass's table stands; lower_bound is the dual.
+        """
         if self.exact is not None:
             own = make_policy(self.exact, (self.spec.avg_rate,) * len(self.exact), self.channel)
             power = average_power(own.powers, steady_state_for(own.eps))
-            if power < result.best_avg_power:
+            if self.closed or power < result.best_avg_power:
                 result = replace(result, best_avg_power=power, best_policy=own)
         return replace(result, lower_bound=min(self.dual * self.unit, result.best_avg_power))
 
@@ -846,6 +867,10 @@ def _solve(search: _Search, seed: int) -> SolveResult:
 
     before = math.inf
     trace: list[tuple[float, float, float]] = []
+    # Where the fixed-rate pass closes its gap, the first round cannot change
+    # the result (finish returns the pass's table), only the counts and the
+    # trace.  It runs anyway: without its working memory, the per-call memory
+    # that perfbench/run.py keeps would show as a peak-RSS regression there.
     for rows in _EXPLORE_ROWS * 2 ** np.arange(_EXPLORE_ROUNDS):
         if search.evaluated >= _MAX_ROWS:
             break

@@ -659,26 +659,33 @@ def reference_polish(search, u, trace):
 
 
 def polish_cases():
-    """(spec, row cap or None): 36 random specs, two deep ones and two capped ones."""
+    """(spec, row cap or None, solvers the cap stops inside a polish).
+
+    36 random specs, two deep ones and three capped ones.
+    """
+    both = (solve_fixed, solve_variable)
     rng = np.random.default_rng(15)
-    cases = [(random_spec(rng), None) for _ in range(36)]
+    cases = [(random_spec(rng), None, ()) for _ in range(36)]
     # at N >= 60 the moves of 5 or more starts span several blocks
-    cases += [(spec1(eps_out=0.1, n=60), None), (replace(random_spec(rng), n_states=64), None)]
+    cases += [(spec1(eps_out=0.1, n=60), None, ()),
+              (replace(random_spec(rng), n_states=64), None, ())]
     # caps between the first polish iterations of these specs.  At N = 10
-    # gamma is 0.65, where the Lagrangian pass leaves a gap and the
-    # fixed-rate search runs the family as the variable-rate one does; at
-    # gamma 0.2 the pass certifies its table, and the fixed-rate search ends
-    # (7618 rows) before the variable-rate one starts its polish (7701)
-    cases += [(spec1(eps_out=0.1, n=3), 7000), (spec1(eps_out=0.1, gamma=0.65, n=10), 9000)]
+    # and gamma 0.2 the Lagrangian pass certifies its table, and the
+    # fixed-rate search ends (7618 rows) before the cap, where the
+    # variable-rate one is polishing; at gamma 0.65 the pass leaves a gap
+    # and the fixed-rate search runs the family as the variable-rate one does
+    cases += [(spec1(eps_out=0.1, n=3), 7000, both),
+              (spec1(eps_out=0.1, n=10), 9000, (solve_variable,)),
+              (spec1(eps_out=0.1, gamma=0.65, n=10), 9000, both)]
     return cases
 
 
-@pytest.mark.parametrize("index", range(40))
+@pytest.mark.parametrize("index", range(41))
 def test_polish_equals_the_reference_polish(monkeypatch, index):
     # the polish builds each batch of moves from its starts' rows, puts only
     # the moved coordinate through the logistic and selects from the batch
     # itself; every result, count and trace sample is the reference's
-    spec, cap = polish_cases()[index]
+    spec, cap, stopped = polish_cases()[index]
     if cap is not None:
         monkeypatch.setattr(annealer, "_MAX_ROWS", cap)
     for solver in (solve_fixed, solve_variable):
@@ -693,7 +700,7 @@ def test_polish_equals_the_reference_polish(monkeypatch, index):
             except ValueError as exc:
                 want = repr(exc)
         assert got == want, solver.__name__
-        if cap is not None:
+        if solver in stopped:
             # the cap stopped the search inside a polish
             assert got.evaluated_count >= cap and got.trace, solver.__name__
 
@@ -771,30 +778,29 @@ def test_variable_results_are_pinned(n, seed):
 # solve_fixed at gamma 0.2, eps_out 0.1, R 1, P_m 100 W, schedule
 # AnnealingSchedule(seed=seed): (power, eps, accepted, feasible, evaluated,
 # trace length), pinned exactly as VARIABLE_GOLDEN is.  At every N here the
-# Lagrangian pass certifies its table (gap below 1e-13), so the search runs
-# no family, polishes that table beside one round of exploration rows, and
-# every seed ends at the same table; the seed moves only the counts and the
-# trace.  At N = 1 the table is the corner optimum (eps_1 = eps_out, eps_0
-# on its loss budget); N = 25 is deeper than the benchmark's N <= 10, and
-# its states far from state 0, which weigh about 0.2^20 in the power, are
-# set to rounding (eps_22 = 0.127).  As in VARIABLE_GOLDEN, the power is
+# Lagrangian pass closes its gap (below 1e-13), so the search runs no
+# family, polishes the pass's table beside one round of exploration rows,
+# and returns the pass's table; the seed moves only the counts and the
+# trace.  Every table is in the power order.  At N = 1 the table is the
+# corner optimum (eps_1 = eps_out, eps_0 on its loss budget); N = 25 is
+# deeper than the benchmark's N <= 10, and its outages rise from eps_out
+# at state N to the plateau's gamma.  As in VARIABLE_GOLDEN, the power is
 # summed over the product-form pi.
-_N3_TABLE = (0.20130763424256318, 0.19952232142894952, 0.1910675787248478, 0.1)
-_N10_TABLE = (0.20000004672475497, 0.20000002471070252, 0.1999999146405327, 0.19999936429141912,
-              0.1999966125863631, 0.1999828550594295, 0.19991409230238266, 0.19957089895300797,
-              0.19787029948755502, 0.1897345363278071, 0.1)
-_N25_TABLE = (0.20000000000000004, 0.20000000000000004, 0.20000000000000004, 0.19999999999999996,
-              0.1999999999999999, 0.19999999999999943, 0.19999999999999718, 0.19999999999998594,
-              0.19999999999992957, 0.1999999999996478, 0.1999999999982389, 0.1999999999911944,
-              0.19999999995597204, 0.19999999977986016, 0.1999999988993009, 0.1999999944965044,
-              0.1999999724825244, 0.1999998624126885, 0.19999931206510038, 0.19999656036695282,
-              0.1999828028709647, 0.19991404025058954, 0.126769449816535, 0.19787025049644372,
-              0.18973449669404846, 0.1)
+_N3_TABLE = (0.20130763424256315, 0.1995223214289495, 0.1910675787248478, 0.1)
+_N10_TABLE = (0.20000004672475497, 0.20000002471070252, 0.1999999146405327, 0.19999936429141915,
+              0.1999966125863631, 0.19998285505942953, 0.19991409230238266, 0.199570898953008,
+              0.197870299487555, 0.1897345363278071, 0.1)
+_N25_TABLE = (0.2, 0.2, 0.2, 0.19999999999999996, 0.19999999999999987, 0.19999999999999943,
+              0.19999999999999718, 0.19999999999998594, 0.19999999999992957, 0.1999999999996478,
+              0.1999999999982389, 0.1999999999911944, 0.19999999995597204, 0.19999999977986016,
+              0.19999999889930087, 0.19999999449650438, 0.19999997248252438, 0.19999986241268847,
+              0.19999931206510035, 0.19999656036695282, 0.1999828028709647, 0.1999140402505895,
+              0.19957084749281156, 0.1978702504964437, 0.18973449669404846, 0.1)
 FIXED_GOLDEN = {
     (1, 3): (5.036825427107048, (0.22499999999999998, 0.1), 2, 5191, 5191, 10),
     (1, 11): (5.036825427107048, (0.22499999999999998, 0.1), 2, 5191, 5191, 10),
-    (3, 3): (4.49897978369335, _N3_TABLE, 3, 4672, 8455, 27),
-    (3, 11): (4.49897978369335, _N3_TABLE, 3, 4828, 8519, 28),
+    (3, 3): (4.4989797836933505, _N3_TABLE, 3, 4672, 8455, 27),
+    (3, 11): (4.4989797836933505, _N3_TABLE, 3, 4828, 8519, 28),
     (10, 3): (4.4814203377528985, _N10_TABLE, 2, 12194, 17123, 79),
     (10, 11): (4.4814203377528985, _N10_TABLE, 2, 3440, 7882, 35),
     (25, 3): (4.48142011772455, _N25_TABLE, 1, 1113, 5969, 9),
@@ -808,6 +814,8 @@ def test_fixed_results_are_pinned(n, seed):
     got = (res.best_avg_power, tuple(map(float, res.best_policy.eps)),
            res.accepted_count, res.feasible_count, res.evaluated_count, len(res.trace))
     assert got == FIXED_GOLDEN[n, seed]
+    assert check_power_ordering(res.best_policy.powers)
+    assert 0.0 <= res.best_avg_power - res.lower_bound <= 1e-13 * res.best_avg_power
 
 
 def test_lambert_w0_matches_scipy():
@@ -870,6 +878,28 @@ def test_lagrangian_pass_agrees_with_the_certificates():
         assert res.lower_bound <= res.best_avg_power, trial
         solved += 1
     assert refused > 0 and solved > 0
+
+
+@pytest.mark.parametrize("passes", [1, 2, 3])
+def test_lagrangian_dual_is_a_bound_when_dinkelbach_stops_early(monkeypatch, passes):
+    # the dual stays below the optimum when the Dinkelbach steps are cut
+    # short: it is built from each step's value V_0, not from the ratio of
+    # the last table, which lies above lambda(mu) until the steps converge
+    rng = np.random.default_rng(31)
+    checked = 0
+    for trial in range(40):
+        s = random_fixed_spec(rng)
+        search = _FixedSearch(s)
+        args = (2.0**s.avg_rate - 1.0, search.floor, search.top, s.n_states, s.gamma)
+        table, power, dual = annealer._lagrangian_pass(*args)
+        if table is None or power - dual > 1e-13 * power:
+            continue  # only a closed gap pins the optimum
+        with monkeypatch.context() as m:
+            m.setattr(annealer, "_DINKELBACH_PASSES", passes)
+            cut = annealer._lagrangian_pass(*args)[2]
+        assert cut <= power * (1.0 + 1e-14), (trial, cut, power)
+        checked += 1
+    assert checked >= 10
 
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
