@@ -3,10 +3,13 @@
 The library models bursty packet loss with a success-runs Markov chain
 over outage states, and minimizes average transmit power subject to an
 average loss-rate constraint and a bound on the N-th consecutive-loss
-probability.  Solvers: exact N=1 closed forms and grid searches, plus one seeded
-search for general N (a structured family, exploration rows and a
-coordinate polish) that serves the fixed-rate and variable-rate problems
-alike; a slot-level Monte-Carlo simulator cross-checks any policy.
+probability.  Solvers: one seeded search for every N (a structured family,
+exploration rows and a coordinate polish) that serves the fixed-rate and
+variable-rate problems alike, started for the fixed rate from an exact
+Lagrangian pass that also bounds its power from below; the N=1 closed
+forms of the paper, which keep the loss budget binding and so bound the
+optimum from above; and a slot-level Monte-Carlo simulator that
+cross-checks any policy.
 """
 
 from .annealer import (
@@ -19,7 +22,6 @@ from .annealer import (
 from .channel import ChannelModel, max_rate, outage_probability, power_for_outage
 from .closed_form import (
     n1_epsilon0,
-    n1_fixed_search,
     n1_fixed_solution,
     n1_region,
     n1_steady,
@@ -65,7 +67,6 @@ __all__ = [
     "make_policy",
     "max_rate",
     "n1_epsilon0",
-    "n1_fixed_search",
     "n1_fixed_solution",
     "n1_region",
     "n1_steady",

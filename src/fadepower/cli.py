@@ -13,8 +13,13 @@ and noise power, 20 dBW peak power, gamma 0.2, r_min 0.001, r_max at
 the peak-power capacity); n, eps_out, and rate must always be given.
 
 Results are emitted as JSON (to --out, or stdout when --out is absent)
-with a one-line human summary on the other stream.  Sweeps emit CSV
-with '#'-prefixed comment lines, one self-describing row per point.
+with a one-line human summary on the other stream.  ``closed-form`` puts
+the paper's N=1 boundary form and variable-rate R_1 grid beside
+``fixed_optimum``, the fixed-rate solve of the file's seed with its
+certified lower bound.  Sweeps emit CSV with '#'-prefixed comment lines,
+one self-describing row per point; on N=1 rows closed_form_avg_power is
+that lower bound for the fixed-rate problem and the R_1 grid's power for
+the variable-rate one.
 A sweep with ``--workers W`` solves its points in W processes: the calling
 process plus W-1 forked workers, each taking every W-th point.  W defaults
 to min(8, usable CPUs, points), and ``--workers 1`` forks nothing.  Rows
@@ -40,12 +45,7 @@ from .annealer import (
     solve_variable,
 )
 from .channel import ChannelModel, max_rate
-from .closed_form import (
-    n1_fixed_search,
-    n1_fixed_solution,
-    n1_region,
-    n1_variable_search,
-)
+from .closed_form import n1_fixed_solution, n1_region, n1_variable_search
 from .policy import Policy, ProblemSpec, make_policy
 from .simulator import simulate, validate
 
@@ -168,14 +168,16 @@ def _spec_from_values(vals: dict, path: str) -> ProblemSpec:
         raise SpecFileError(f"{path}: {exc}") from exc
 
 
-def _build_schedule(fields, path: str, args) -> AnnealingSchedule:
-    """The first restart's schedule, checked with every later restart's seed."""
-    if args.restarts < 1:
+def _build_schedule(fields, path: str, seed: int | None = None, restarts: int = 1) -> AnnealingSchedule:
+    """The first restart's schedule, checked with every later restart's seed.
+
+    seed overrides the file's seed, which defaults to 0.
+    """
+    if restarts < 1:
         raise SpecFileError("restarts must be >= 1")
-    seed = args.seed
     if seed is None:
         seed = _conv(path, "seed", fields["seed"], int) if "seed" in fields else 0
-    last = seed + args.restarts - 1
+    last = seed + restarts - 1
     try:
         base = AnnealingSchedule(seed=seed)
         AnnealingSchedule(seed=last)
@@ -248,7 +250,7 @@ def _solve(args, spec: ProblemSpec, base: AnnealingSchedule):
 def cmd_solve(args) -> int:
     fields = _parse_kv_file(args.spec_file, _PROBLEM_KEYS | _SCHEDULE_KEYS)
     spec = _spec_from_values(_typed_values(fields, args.spec_file), args.spec_file)
-    base = _build_schedule(fields, args.spec_file, args)
+    base = _build_schedule(fields, args.spec_file, args.seed, args.restarts)
     best, best_seed, why = _solve(args, spec, base)
     if why is not None:
         print(why, file=sys.stderr)
@@ -281,22 +283,27 @@ def cmd_closed_form(args) -> int:
     spec = _spec_from_values(_typed_values(fields, args.spec_file), args.spec_file)
     if spec.n_states != 1:
         raise ValueError("closed form defined only for N=1")
+    schedule = _build_schedule(fields, args.spec_file)
+
+    def entry(policy, avg, **extra) -> dict:
+        return {"avg_power": float(avg), "policy": asdict(policy), **extra}
+
+    def fixed_optimum() -> dict:
+        res = solve_fixed(spec, schedule)
+        return entry(res.best_policy, res.best_avg_power, lower_bound=float(res.lower_bound))
+
     payload: dict = {"spec": _spec_echo(spec), "region": n1_region(spec)}
     parts = [
-        ("fixed_boundary", lambda s: n1_fixed_solution(s)),
-        ("fixed_search", lambda s: n1_fixed_search(s, args.grid_points)),
-        ("variable_search", lambda s: n1_variable_search(s, args.grid_points)),
+        ("fixed_boundary", lambda: entry(*n1_fixed_solution(spec))),
+        ("fixed_optimum", fixed_optimum),
+        ("variable_search", lambda: entry(*n1_variable_search(spec, args.grid_points))),
     ]
-    solved = 0
     for name, fn in parts:
         try:
-            policy, avg = fn(spec)
-        except ValueError as exc:
+            payload[name] = fn()
+        except ValueError as exc:  # NoFeasibleSolution included
             payload[name] = {"error": str(exc)}
-        else:
-            payload[name] = {"avg_power": float(avg), "policy": asdict(policy)}
-            solved += 1
-    if solved == 0:
+    if all("error" in payload[name] for name, _ in parts):
         print("no feasible solution found", file=sys.stderr)
         return 2
     bits = [payload["region"]]
@@ -497,11 +504,9 @@ def _sweep_point(args, base_vals: dict, base_sched: AnnealingSchedule, value) ->
         row["mean_fading_power"] = vals.get("mean_fading_power", 1.0)
         return row
     row.update(_spec_echo(spec))
-    if spec.n_states == 1:
-        oracle = n1_fixed_search if args.problem == "fixed" else n1_variable_search
+    if spec.n_states == 1 and args.problem == "variable":
         try:
-            _, cf_avg = oracle(spec)
-            row["closed_form_avg_power"] = float(cf_avg)
+            row["closed_form_avg_power"] = float(n1_variable_search(spec)[1])
         except ValueError:
             pass
     best, best_seed, why = _solve(args, spec, base_sched)
@@ -509,6 +514,9 @@ def _sweep_point(args, base_vals: dict, base_sched: AnnealingSchedule, value) ->
         no_table = isinstance(why, NoFeasibleSolution)
         row["note"] = "no feasible solution found" if no_table else str(why)
         return row
+    if spec.n_states == 1 and args.problem == "fixed":
+        # the Lagrangian dual: best_avg_power wherever the pass closes its gap
+        row["closed_form_avg_power"] = float(best.lower_bound)
     row["feasible"] = 1
     row["seed"] = best_seed
     row["best_avg_power"] = best.best_avg_power
@@ -549,7 +557,7 @@ def cmd_sweep(args) -> int:
     values = _parse_range(args.range, args.axis)
     fields = _parse_kv_file(args.spec_file, _PROBLEM_KEYS | _SCHEDULE_KEYS)
     base_vals = _typed_values(fields, args.spec_file)
-    base_sched = _build_schedule(fields, args.spec_file, args)
+    base_sched = _build_schedule(fields, args.spec_file, args.seed, args.restarts)
     workers = _sweep_workers(args.workers, len(values))
     if workers == 1:
         rows = _sweep_share(args, base_vals, base_sched, values)
@@ -605,9 +613,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="write result JSON here")
     sp.set_defaults(func=cmd_solve)
 
-    cf = sub.add_parser("closed-form", help="N=1 closed forms and grid searches")
+    cf = sub.add_parser(
+        "closed-form",
+        help="N=1 closed forms beside the certified fixed-rate optimum of the file's seed",
+    )
     cf.add_argument("spec_file")
-    cf.add_argument("--grid-points", dest="grid_points", type=int, default=2001)
+    cf.add_argument(
+        "--grid-points", dest="grid_points", type=int, default=2001,
+        help="R_1 grid points of the variable-rate closed form",
+    )
     cf.add_argument("--out")
     cf.set_defaults(func=cmd_closed_form)
 

@@ -3,18 +3,15 @@
 With a single tolerated loss (N=1) the two-state chain admits closed
 forms: the stationary pair (pi0, pi1), the state-0 outage that makes the
 average-loss constraint bind given a terminal outage, and the resulting
-rates and powers.  The tests check the solvers of the annealer module
-(one search for every N) against them.  Every policy here keeps the
-average-loss constraint binding, which is optimal only where the loss
-budget is worth spending: the searches are upper bounds on the N=1
-optimum, not oracles, and equal it only where the budget binds at the
-optimum (for the fixed-rate problem at gamma 0.2, eps_out 0.1 it does;
-at eps_out 0.02 it does not).  None of this generalizes to N > 1.  For
-the fixed-rate problem at every N, the Lagrangian pass behind
-annealer.solve_fixed gives the optimum with a lower bound that certifies
-it wherever no duality gap is left (at N = 1, eps_out 0.02 it reaches
-11.877 W, which these functions miss); the variable-rate problem at N >
-1 has only the search.
+rates and powers.  The fixed-rate boundary form and the variable-rate R_1
+grid keep the average-loss constraint binding and state 1 at eps_out,
+which is optimal only where the loss budget is worth spending: they are
+upper bounds on the N=1 optimum, not oracles.  None of this generalizes
+to N > 1.  The fixed-rate optimum at every N, N=1 included, comes from
+the Lagrangian pass behind annealer.solve_fixed, whose lower bound
+certifies it wherever no duality gap is left (at gamma 0.2, eps_out 0.02
+it reaches 11.877 W, where the boundary form gives 12.746 W); the
+variable-rate problem has only the search.
 
 All functions reject specs with n_states != 1.
 """
@@ -23,8 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import EPSILON_GUARD as DELTA
-from .channel import power_for_outage
 from .policy import Policy, ProblemSpec, average_power, make_policy
 
 
@@ -153,41 +148,3 @@ def n1_fixed_solution(spec: ProblemSpec) -> tuple[Policy, float]:
     pi = n1_steady(eps0, eps1)
     return policy, average_power(policy.powers, pi)
 
-
-def n1_fixed_search(spec: ProblemSpec, grid_points: int = 2001) -> tuple[Policy, float]:
-    """Minimize the fixed-rate average power over a uniform eps1 grid.
-
-    Every candidate keeps the average-loss constraint binding via
-    eps0 = n1_epsilon0(gamma, eps1), so the only free variable is the
-    terminal outage eps1 in (0, min(eps_out, 1-DELTA)].  It beats the
-    boundary solution whenever the best such eps1 sits strictly below
-    eps_out.  It is an upper bound on the N=1 optimum, equal to it (to
-    the grid spacing) only where a binding loss budget is optimal, as at
-    gamma 0.2, eps_out 0.1.  At small eps_out a smaller eps0 is cheaper:
-    at gamma 0.2, eps_out 0.02 this search gives 12.746 W against an
-    optimum of 11.877 W.
-    """
-    _require_n1(spec)
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    u = min(spec.eps_out, 1.0 - DELTA)
-    eps1 = np.linspace(DELTA, u, grid_points)
-    eps0 = (1.0 - eps1) * spec.gamma / (1.0 - spec.gamma)
-    pair_ok = eps0 < 1.0
-    if not np.any(pair_ok):
-        raise ValueError("infeasible gamma/eps pair")
-
-    k = (2.0**spec.avg_rate - 1.0) * spec.channel.noise_power / spec.channel.mean_fading_power
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p0 = k / (-np.log1p(-eps0))
-        p1 = k / (-np.log1p(-eps1))
-        denom = 1.0 + eps0 - eps1
-        avg = ((1.0 - eps1) * p0 + eps0 * p1) / denom
-    ok = pair_ok & (np.maximum(p0, p1) <= spec.peak_power)
-    if not np.any(ok):
-        raise ValueError("peak power infeasible")
-    avg = np.where(ok, avg, np.inf)
-    best = int(np.argmin(avg))
-    e0, e1 = float(eps0[best]), float(eps1[best])
-    policy = make_policy((e0, e1), (spec.avg_rate, spec.avg_rate), spec.channel)
-    return policy, average_power(policy.powers, n1_steady(e0, e1))

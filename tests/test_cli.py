@@ -208,8 +208,48 @@ def test_closed_form_reference_values(tmp_path):
     data = json.loads(out.read_text())
     assert data["region"] == "bursty packet loss dominant"
     assert data["fixed_boundary"]["avg_power"] == pytest.approx(FIXED_PBAR_01, rel=1e-12)
-    assert data["fixed_search"]["avg_power"] == pytest.approx(FIXED_PBAR_01, rel=1e-6)
+    assert data["fixed_optimum"]["avg_power"] == pytest.approx(FIXED_PBAR_01, rel=1e-12)
     assert data["variable_search"]["avg_power"] < data["fixed_boundary"]["avg_power"]
+    assert "fixed_search" not in data
+    # at gamma 0.65 a binding loss budget with state 1 at eps_out needs
+    # eps_0 = 1.3, so both closed forms fail; the fixed-rate optimum puts
+    # state 0 at the guard band and is certified by its lower bound
+    spec = write(tmp_path / "cf.txt", "gamma = 0.65\nn = 1\neps_out = 0.3\nrate = 1\n")
+    assert main(["closed-form", spec, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["fixed_boundary"] == {"error": "infeasible gamma/eps pair"}
+    assert data["variable_search"] == {"error": "infeasible gamma/eps pair"}
+    optimum = data["fixed_optimum"]
+    assert optimum["avg_power"] == pytest.approx(1.6790234217, abs=1e-9)
+    assert optimum["lower_bound"] == pytest.approx(optimum["avg_power"], rel=1e-12)
+    assert optimum["lower_bound"] <= optimum["avg_power"]
+
+
+def test_closed_form_fixed_optimum_is_the_solve_of_the_files_seed(tmp_path, monkeypatch):
+    seeds = []
+    solve_fixed = cli.solve_fixed
+
+    def recording_solve_fixed(spec, schedule):
+        seeds.append(schedule.seed)
+        return solve_fixed(spec, schedule)
+
+    monkeypatch.setattr(cli, "solve_fixed", recording_solve_fixed)
+    text = "gamma = 0.65\nn = 1\neps_out = 0.3\nrate = 1\n"
+    cf, res = tmp_path / "cf.json", tmp_path / "res.json"
+    for seed_line, seed in (("", 0), ("seed = 5\n", 5)):
+        spec = write(tmp_path / "spec.txt", text + seed_line)
+        assert main(["closed-form", spec, "--out", str(cf)]) == 0
+        assert main(["solve", "fixed", spec, "--out", str(res)]) == 0
+        assert seeds == [seed, seed]
+        seeds.clear()
+        optimum, solved = json.loads(cf.read_text())["fixed_optimum"], json.loads(res.read_text())
+        assert optimum == {
+            "avg_power": solved["best_avg_power"],
+            "lower_bound": solved["lower_bound"],
+            "policy": solved["best_policy"],
+        }
+    spec = write(tmp_path / "spec.txt", text + f"seed = {2**64}\n")
+    assert main(["closed-form", spec]) == 1
 
 
 def test_closed_form_boundary_point(tmp_path):
@@ -244,6 +284,7 @@ def test_closed_form_partial_results_when_peak_binds(tmp_path):
     assert main(["closed-form", spec, "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["fixed_boundary"]["error"] == "peak power infeasible"
+    assert data["fixed_optimum"]["error"] == "feasibility window empty"
     assert "avg_power" in data["variable_search"]
 
 
@@ -337,6 +378,16 @@ def test_sweep_csv_contract(tmp_path):
     out2 = tmp_path / "sweep2.csv"
     assert main(["sweep", "eps_out", "0.1:0.3:0.1", spec, "--out", str(out2)]) == 0
     assert out.read_bytes() == out2.read_bytes()
+    # on a fixed-rate N=1 row the column is the solve's certified lower bound:
+    # below the binding-budget 12.746 W at eps_out 0.02, and filled at gamma
+    # 0.9, where a binding loss budget would need eps_0 above 1
+    best = hdr.index("best_avg_power")
+    for axis, values in (("eps_out", "0.02,0.1"), ("gamma", "0.9,0.95")):
+        assert main(["sweep", axis, values, spec, "--problem", "fixed", "--out", str(out2)]) == 0
+        data += list(csv.reader(line for line in out2.read_text().splitlines() if not line.startswith("#")))[1:]
+    assert len(data) == 7
+    for r in data:
+        assert float(r[cf]) <= float(r[best]) <= float(r[cf]) * (1.0 + 1e-12), r
 
 
 def test_sweep_csv_independent_of_workers(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from fadepower.channel import ChannelModel, max_rate
 from fadepower.closed_form import (
     n1_epsilon0,
-    n1_fixed_search,
     n1_fixed_solution,
     n1_region,
     n1_steady,
@@ -125,18 +124,13 @@ def test_fixed_solution_peak_infeasible():
         n1_fixed_solution(spec1(eps_out=0.01, peak=20.0))
 
 
-def test_fixed_search_tracks_closed_form():
+def test_fixed_solution_is_the_optimum_where_the_loss_budget_binds(n1_fixed_optimum):
     for eps_out in (0.05, 0.1, 0.2, 0.3):
         s = spec1(eps_out=eps_out)
         _, exact = n1_fixed_solution(s)
-        _, grid = n1_fixed_search(s, grid_points=4001)
-        assert grid == pytest.approx(exact, rel=1e-4)
-        assert grid >= exact * (1.0 - 1e-9)
-
-
-def test_fixed_search_peak_infeasible():
-    with pytest.raises(ValueError, match="peak power infeasible"):
-        n1_fixed_search(spec1(eps_out=0.01, peak=20.0))
+        optimum = n1_fixed_optimum(s)
+        assert exact == pytest.approx(optimum, rel=1e-4)
+        assert exact >= optimum * (1.0 - 1e-9)
 
 
 def test_all_closed_forms_reject_larger_chains():
@@ -144,7 +138,6 @@ def test_all_closed_forms_reject_larger_chains():
     for fn in (
         n1_region,
         n1_fixed_solution,
-        lambda q: n1_fixed_search(q, 101),
         lambda q: n1_variable_search(q, 101),
         lambda q: n1_variable_solution(q, 0.001),
     ):
