@@ -3,10 +3,11 @@
 The fixed-rate problem is the variable-rate problem with every rate
 pinned at R, and both solvers run one search over the outage vector.
 They differ only in the map from a searched row to a table and its
-power, in the peak floor of that map, in the certificates checked
-before searching, and in the first start: the fixed-rate search starts
-from the table of an exact Lagrangian pass, which also bounds its power
-from below.
+power (one pass over a block of rows for each problem, which the search
+reads both for the powers and for the best row's table), in the peak
+floor of that map, in the certificates checked before searching, and in
+the first start: the fixed-rate search starts from the table of an
+exact Lagrangian pass, which also bounds its power from below.
 
 * Coordinates.  A row u in [0, 1]^(N+1) is a table: eps_j = lo +
   u_j (hi_j - lo) for j >= 1 and eps_0 = lb + u_0 (ub - lb), with
@@ -27,17 +28,17 @@ from below.
   Applications, 1970) that is (2^R - 1) C_0/L_0, the mean cost over the
   mean length of a cycle from state 0 back to it: L_N = 1/(1 - eps_N),
   C_N = c_N L_N, L_j = 1 + eps_j L_{j+1} and C_j = c_j + eps_j C_{j+1},
-  so one backward pass over the states prices a block of rows, and L_1 =
-  W_1 gives ub on the way, with no pi formed.  lb = max(lo, eps_1), so
-  eps_0 >= eps_1, and the exploration rows have states 1..N-1 sorted
-  into non-increasing order: two parts of the power order
-  (eps non-increasing).  Without them, where gamma is about 0.6 or more,
-  the polish can stall at a table with one state at the guard band
-  1 - DELTA, up to 5% above the best table known.  On 2900 random solves
-  (N 1-12, gamma 0.02-0.7, most of them at 0.5 or more) the search with
-  neither, or with the sort alone, ended above the power of a random
-  search of ordered tables (up to 2 * 10^6 rows) 7 times, and with both
-  never.
+  so one backward pass over the states maps a block of rows to their
+  tables and prices them, and L_1 = W_1 gives ub on the way, with no pi
+  formed.  lb = max(lo, eps_1), so eps_0 >= eps_1, and the exploration
+  rows have states 1..N-1 sorted into non-increasing order: two parts of
+  the power order (eps non-increasing).  Without them, where gamma is
+  about 0.6 or more, the polish can stall at a table with one state at
+  the guard band 1 - DELTA, up to 5% above the best table known.  On 2900
+  random solves (N 1-12, gamma 0.02-0.7, most of them at 0.5 or more)
+  the search with neither, or with the sort alone, ended above the power
+  of a random search of ordered tables (up to 2 * 10^6 rows) 7 times, and
+  with both never.
 * Variable rate: with eps fixed, pi and c_i = N0/(-ln(1 - eps_i) Omega)
   are fixed, and what is left, min sum pi_i c_i (2^r_i - 1) s.t.
   sum pi_i r_i >= R and r_min <= r_i <= rcap_i = min(r_max, log2(1 +
@@ -556,12 +557,13 @@ def _result(policy: Policy, improved: int, feasible: int, evaluated: int, trace)
 class _Search:
     """Powers of rows u, and the cheapest row over every batch.
 
-    A row u in [0, 1]^(N+1) is a table (see the module docstring); a
-    subclass gives its outages, rates and power in `tables`, and the
-    search reads only the powers, from `prices`.  The search works in
-    units of N0/Omega: `spec` is the problem with P_m in those units and
-    N0 = Omega = 1, and `unit` converts its powers to W.  `floor` is the
-    outage below which no state meets PEAK at `rate`.
+    A row u in [0, 1]^(N+1) is a table (see the module docstring); each
+    subclass maps a block of rows to their outages, rates and powers in
+    one pass, `tables`, and the search reads the powers from it, and the
+    best row's table at the end.  The search works in units of N0/Omega:
+    `spec` is the problem with P_m in those units and N0 = Omega = 1, and
+    `unit` converts its powers to W.  `floor` is the outage below which no
+    state meets PEAK at `rate`.
     """
 
     def __init__(self, spec: ProblemSpec, rate: float):
@@ -576,23 +578,6 @@ class _Search:
         self.span[-1] = self.top - self.lo
         self.best, self.best_row = math.inf, None
         self.improved = self.feasible = self.evaluated = 0
-
-    def outages(self, u):
-        """Outages of rows u, and which rows leave eps_0 room between its bounds."""
-        e = u * self.span
-        e += self.lo
-        ub = np.minimum(self.odds / _tail_sum(e[:, 1:].T), 1.0 - DELTA)
-        lb = self.least_eps0(e)
-        e[:, 0] = u[:, 0] * (ub - lb) + lb
-        return e, ub >= lb
-
-    def prices(self, u):
-        """Powers of rows u, inf where infeasible."""
-        return self.tables(u)[2]
-
-    def least_eps0(self, e):
-        """The smallest eps_0 of rows e, given their other outages."""
-        return self.lo
 
     def explore(self, u):
         """Exploration rows u as the search evaluates them."""
@@ -632,7 +617,7 @@ class _Search:
         for a in range(0, rows, step):
             u = make(a, min(a + step, rows))
             block = p[a:a + len(u)]
-            block[:] = self.prices(u)
+            block[:] = self.tables(u)[2]
             if keep:
                 # the `keep` cheapest rows are among each block's own `keep` cheapest
                 pick = np.argsort(block, kind="stable")[:keep]
@@ -680,23 +665,16 @@ class _FixedSearch(_Search):
 
     def __init__(self, spec: ProblemSpec):
         super().__init__(spec, spec.avg_rate)
-        self.rates = np.empty((0, self.span.size))
 
     def tables(self, u):
-        """Outages, rates and powers (inf where infeasible) of rows u."""
-        e = self.outages(u)[0]
-        if len(self.rates) < len(e):  # rows of R, sliced for every later block
-            self.rates = np.full(e.shape, self.spec.avg_rate)
-            self.rates.flags.writeable = False
-        return e, self.rates[:len(e)], self.prices(u)
+        """Outages, rates and powers (inf where infeasible) of rows u.
 
-    def prices(self, u):
-        """Powers of rows u, inf where infeasible, as cycle cost over cycle length.
-
-        One backward pass over the state-major outages: L_1 and C_1 from
-        _tail_sum with c_j = -1/ln(1 - eps_j), then eps_0 from its bounds
-        and the power (2^R - 1) C_0/L_0 = (2^R - 1)(c_0 + eps_0 C_1)/(1 +
-        eps_0 L_1).  The outages are those of `outages`, bit for bit.
+        The power is cycle cost over cycle length, from one backward pass
+        over the state-major outages: L_1 and C_1 from _tail_sum with c_j =
+        -1/ln(1 - eps_j), then eps_0 from its bounds and the power (2^R -
+        1) C_0/L_0 = (2^R - 1)(c_0 + eps_0 C_1)/(1 + eps_0 L_1).  The
+        outages are the transpose of the pass's array, a view, and the
+        rates one read-only R broadcast over them.
         """
         e = np.multiply(u.T, self.span[:, None], out=np.empty(u.shape[::-1]))
         e += self.lo
@@ -713,12 +691,12 @@ class _FixedSearch(_Search):
         power *= e0
         length *= e0
         length += 1.0
-        np.log1p(np.negative(e0, out=e0), out=e0)
-        power -= 1.0 / e0  # + c_0
+        c0 = np.log1p(np.negative(e0, out=lb), out=lb)  # lb is spent
+        power -= np.divide(1.0, c0, out=c0)  # + c_0
         power /= length
         power *= 2.0**self.spec.avg_rate - 1.0
         power[room < 0.0] = np.inf
-        return power
+        return e.T, np.broadcast_to(self.spec.avg_rate, u.shape), power
 
     def starts(self) -> list:
         """The Lagrangian pass's table, and the family's best where the pass's gap exceeds 1e-9."""
@@ -736,7 +714,7 @@ class _FixedSearch(_Search):
         e = np.asarray(eps, dtype=float)
         u = np.divide(e - self.lo, self.span, out=np.zeros(e.size), where=self.span > 0.0)
         np.clip(u, 0.0, 1.0, out=u)
-        tail = u[1:, None] * self.span[1:, None] + self.lo  # state-major, as `outages` forms it
+        tail = u[1:, None] * self.span[1:, None] + self.lo  # state-major, as `tables` forms it
         ub = min(self.odds / float(_tail_sum(tail)[0]), 1.0 - DELTA)
         lb = max(float(tail[0, 0]), self.lo)
         u[0] = min(max((e[0] - lb) / (ub - lb), 0.0), 1.0) if ub > lb else 0.0
@@ -756,10 +734,6 @@ class _FixedSearch(_Search):
                 result = replace(result, best_avg_power=power, best_policy=own)
         return replace(result, lower_bound=min(self.dual * self.unit, result.best_avg_power))
 
-    def least_eps0(self, e):
-        """eps_0 >= eps_1, as the power order has it."""
-        return np.maximum(e[:, 1], self.lo)
-
     def explore(self, u):
         """Exploration rows with states 1..N-1 in non-increasing order."""
         u[:, 1:-1] = np.sort(u[:, 1:-1], axis=1)[:, ::-1]
@@ -775,11 +749,14 @@ class _VariableSearch(_Search):
 
     def tables(self, u):
         """Outages, rates and powers (inf where infeasible) of rows u."""
-        e, room = self.outages(u)
+        e = u * self.span
+        e += self.lo
+        ub = np.minimum(self.odds / _tail_sum(e[:, 1:].T), 1.0 - DELTA)
+        e[:, 0] = u[:, 0] * (ub - self.lo) + self.lo
         pi = product_form(e)
         coef = -1.0 / np.log1p(-e)
         lc, rcap, ok = _rate_caps(coef, pi, self.spec)
-        ok &= room
+        ok &= ub >= self.lo
         rates = _water_fill(lc, rcap, pi, self.spec, self.buf)
         power = np.einsum("ij,ij->i", coef * (np.exp2(rates) - 1.0), pi)
         power[~ok] = np.inf

@@ -7,9 +7,11 @@ outage probabilities eps[i] strictly inside (0, 1) the chain is
 irreducible and aperiodic, so the stationary distribution exists and is
 unique.  product_form gives it in closed form and is the route of every
 stationary distribution the package forms (the fixed-rate search forms
-none: it prices its rows by renewal-cycle sums); steady_state solves pi =
-pi A densely for any row-stochastic matrix, the reference the tests hold
-the product form to.
+none: it prices its rows by renewal-cycle sums, and validate takes its
+standard errors from the regenerative cycles over pi).  No package path
+forms the transition matrix: build_transition_matrix and steady_state,
+which solves pi = pi A densely for any row-stochastic matrix, are the
+references the tests and the benchmark hold the closed forms to.
 """
 
 from __future__ import annotations

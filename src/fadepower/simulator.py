@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelModel
-from .markov import achieved_loss_rate, build_transition_matrix, steady_state_for
+from .markov import achieved_loss_rate, steady_state_for
 from .policy import Policy, ProblemSpec, _check_dimensions, average_power
 
 
@@ -369,11 +369,12 @@ class ValidationRecord:
     Each z-score is (empirical - analytic) / standard error, with the
     standard error taken from the chain model.  Consecutive slots are
     correlated, so z_gamma, z_occupancy and z_avg_power use the chain's
-    asymptotic variance of the slot average (fundamental-matrix form),
-    not the variance of independent samples.  z_state_outage is
-    conditional on the visits to each state, where every loss is an
-    independent draw, so it uses the binomial variance; z_eps_out is its
-    terminal entry, the burst-outage score.  Entries are None where the
+    asymptotic variance of the slot average, taken over its regenerative
+    cycles from state 0 in closed form over pi, not the variance of
+    independent samples.  z_state_outage is conditional on the visits to
+    each state, where every loss is an independent draw, so it uses the
+    binomial variance; z_eps_out is its terminal entry, the burst-outage
+    score.  Entries are None where the
     sample provides no data (e.g. a state never visited).  max_abs_z is
     the largest magnitude among the defined scores.
     """
@@ -422,13 +423,18 @@ def validate(
 
     # Slot averages of the state functions behind the loss rate (a slot is
     # lost exactly when the next state is not 0), the average power and
-    # each occupancy, with the chain's asymptotic variance
-    # pi.(f~ * (2 Z f~ - f~)): f~ = f - pi.f, Z = (I - A + 1 pi^T)^-1.
+    # each occupancy, with the chain's asymptotic variance by regenerative
+    # cycles over pi: E[(F - mu L)^2]/E[L] over the cycles from state 0
+    # (Asmussen, Applied Probability and Queues, 2003).  With h = f - pi.f
+    # and S_i = h_0 + ... + h_{i-1}, a cycle's sum of h up to state i, it is
+    # pi.(h * (h + 2 S)) + 2 pi_N eps_N/(1 - eps_N) h_N^2, the last term
+    # from the terminal self-loop.
     k = pi.size
-    f = np.column_stack([np.arange(k) != 0, policy.powers, np.eye(k)])
-    f = f - pi @ f
-    z_f = np.linalg.solve(np.eye(k) - build_transition_matrix(policy.eps) + pi, f)
-    se = np.sqrt(np.maximum(pi @ (f * (2.0 * z_f - f)), 0.0) / slots).tolist()
+    h = np.column_stack([np.arange(k) != 0, policy.powers, np.eye(k)])
+    h = h - pi @ h
+    var = pi @ (h * (h + 2.0 * (np.cumsum(h, axis=0) - h)))
+    var += 2.0 * pi[-1] * eps_n / (1.0 - eps_n) * h[-1] ** 2
+    se = np.sqrt(np.maximum(var, 0.0) / slots).tolist()
     z_gamma = _z(report.empirical_gamma - gamma_r, se[0])
     z_power = _z(report.avg_power - p_bar, se[1])
     z_occ = tuple(

@@ -336,13 +336,23 @@ def test_fixed_price_is_the_average_power_of_its_table(n):
         # eps_0 = eps_1 = 1 - DELTA: at gamma 0.7 ub = lb, a feasible row
         u[6:8] = 0.0
         u[6:8, :2] = 1.0
-        price = search.prices(u)
-        e, room = search.outages(u)
+        e, rates, price = search.tables(u)
+        assert np.array_equal(rates, np.full(u.shape, s.avg_rate))
+        # eps_0 has room exactly where its bounds min(odds/L_1, 1 - DELTA)
+        # and max(lo, eps_1) do not cross, L_1 = 1 + eps_1(1 + ... +
+        # eps_{N-1}/(1 - eps_N)) summed here from the returned table
+        odds = s.gamma / (1.0 - s.gamma)
+        room = np.empty(len(u), dtype=bool)
+        for j, row in enumerate(e.tolist()):
+            length = 1.0 / (1.0 - row[-1])
+            for x in row[-2:0:-1]:
+                length = 1.0 + x * length
+            room[j] = min(odds / length, 1.0 - DELTA) >= max(search.lo, row[1])
         assert np.array_equal(np.isinf(price), ~room), trial
         if trial == 0:
             assert room[6] and price[6] < np.inf
         for j in np.flatnonzero(room):
-            pol = make_policy(e[j], np.full(n + 1, s.avg_rate), ch)
+            pol = make_policy(e[j], rates[j], ch)
             want = average_power(pol.powers, steady_state_for(pol.eps))
             assert price[j] * search.unit == pytest.approx(want, rel=1e-13, abs=0.0), (trial, j)
         feasible += int(room.sum())

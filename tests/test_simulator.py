@@ -7,7 +7,7 @@ import pytest
 
 from fadepower import simulator
 from fadepower.channel import ChannelModel, max_rate, outage_probability
-from fadepower.markov import achieved_loss_rate, steady_state_for
+from fadepower.markov import achieved_loss_rate, build_transition_matrix, steady_state_for
 from fadepower.policy import Policy, ProblemSpec, make_policy
 from fadepower.simulator import SimReport, simulate, validate
 
@@ -404,3 +404,41 @@ def test_validate_bursty_table_scores_low_across_seeds():
     spec = spec_for(pol)
     worst = [validate(pol, spec, 200_000, seed).max_abs_z for seed in range(20)]
     assert max(worst) <= 4.0, worst
+
+
+def fundamental_matrix_z(pol, rec, slots):
+    """z_gamma, z_avg_power and z_occupancy with the fundamental-matrix variance.
+
+    The asymptotic variance of the slot average of a state function f is
+    pi.(f~ * (2 Z f~ - f~)), f~ = f - pi.f and Z = (I - A + 1 pi^T)^-1,
+    solved densely from the transition matrix A.
+    """
+    pi = np.asarray(rec.analytic_pi)
+    k = pi.size
+    f = np.column_stack([np.arange(k) != 0, pol.powers, np.eye(k)])
+    f = f - pi @ f
+    z_f = np.linalg.solve(np.eye(k) - build_transition_matrix(pol.eps) + pi, f)
+    se = np.sqrt(np.maximum(pi @ (f * (2.0 * z_f - f)), 0.0) / slots)
+    rep = rec.report
+    diff = [rep.empirical_gamma - rec.analytic_gamma, rep.avg_power - rec.analytic_avg_power]
+    diff += [occ - p for occ, p in zip(rep.occupancy, rec.analytic_pi)]
+    return np.array(diff) / se
+
+
+def test_validate_standard_errors_match_the_fundamental_matrix():
+    # validate sums the variance over regenerative cycles; the dense solve
+    # over the transition matrix gives the same z-scores to rounding
+    rng = np.random.default_rng(2000)
+    cases = [(fixed_rate(BURSTY), 200_000)]
+    for _ in range(100):
+        n = int(rng.integers(1, 41))
+        eps = np.exp(rng.uniform(math.log(1e-3), math.log(0.999), n + 1))
+        cases.append((make_policy(eps, rng.uniform(0.2, 2.0, n + 1), CH), 5000))
+    for seed, (pol, slots) in enumerate(cases):
+        rec = validate(pol, spec_for(pol), slots, seed)
+        got = np.array([rec.z_gamma, rec.z_avg_power, *rec.z_occupancy])
+        want = fundamental_matrix_z(pol, rec, slots)
+        scored = got != 0.0  # validate scores an exact match 0 without its error
+        assert scored.sum() >= 2, seed
+        np.testing.assert_allclose(got[scored], want[scored], rtol=1e-12, atol=0.0,
+                                   err_msg=str(seed))
