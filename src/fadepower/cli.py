@@ -21,8 +21,9 @@ one self-describing row per point; on N=1 rows closed_form_avg_power is
 that lower bound for the fixed-rate problem and the R_1 grid's power for
 the variable-rate one.
 A sweep with ``--workers W`` solves its points in W processes: the calling
-process plus W-1 forked workers, each taking every W-th point.  W defaults
-to min(8, usable CPUs, points), and ``--workers 1`` forks nothing.  Rows
+process plus W-1 worker processes (forked on Linux), each sending its rows
+back over a one-way pipe; every process takes every W-th point.  W defaults
+to min(8, usable CPUs, points), and ``--workers 1`` starts no worker.  Rows
 keep the range's order, so the CSV does not depend on the worker count.
 Exit codes: 0 success, 1 malformed input (an unknown flag or key
 included), 2 no feasible solution.
@@ -529,18 +530,42 @@ def _sweep_point(args, base_vals: dict, base_sched: AnnealingSchedule, value) ->
 def _sweep_share(args, base_vals: dict, base_sched: AnnealingSchedule, values) -> list[dict]:
     """The rows of `values`, solved in order in this process.
 
-    A module-level function, so that a worker process can unpickle it.
+    The calling process solves its own share with it, and each of the W-1
+    worker processes (forked on Linux) solves its share with it before
+    sending its rows back over a one-way pipe (`_sweep_child`).
     """
     return [_sweep_point(args, base_vals, base_sched, v) for v in values]
+
+
+class _WorkerTraceback(Exception):
+    """A sweep worker's traceback text, chained as the cause of its error."""
+
+
+def _sweep_child(conn, args, base_vals: dict, base_sched: AnnealingSchedule, values) -> None:
+    """A sweep worker: solve `values` and send one message over `conn`.
+
+    The message is (True, rows), or (False, exception, traceback text) when
+    a point raised.  A module-level function, so that a spawned worker can
+    unpickle it.
+    """
+    try:
+        message = (True, _sweep_share(args, base_vals, base_sched, values))
+    except Exception as exc:
+        import traceback
+
+        message = (False, exc, traceback.format_exc())
+    with conn:
+        conn.send(message)
 
 
 def _sweep_workers(requested: int | None, points: int) -> int:
     """Solving processes for a sweep of `points` points.
 
     The count includes the calling process, which solves its own share
-    beside count - 1 forked workers.  The default is min(8, usable CPUs,
-    points).  A requested count is capped at `points`, so that every
-    process has a point: a fork pool starts all of its workers at once.
+    beside count - 1 worker processes (forked on Linux), each sending its
+    rows back over a one-way pipe.  The default is min(8, usable CPUs,
+    points).  A requested count is capped at `points`, so that no worker
+    is started with an empty share.
     """
     if requested is None:
         if hasattr(os, "sched_getaffinity"):
@@ -564,20 +589,44 @@ def cmd_sweep(args) -> int:
     else:
         # imported here, so that importing the cli loads no multiprocessing
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
         # forked workers inherit the loaded package instead of importing numpy
-        ctx = multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
+        ctx = multiprocessing.get_context("fork" if sys.platform.startswith("linux") else None)
         rows = [None] * len(values)
-        with ProcessPoolExecutor(max_workers=workers - 1, mp_context=ctx) as pool:
+        children = []
+        try:
             # worker w solves values[w::workers] while this process solves values[0::workers]
-            shares = {
-                w: pool.submit(_sweep_share, args, base_vals, base_sched, values[w::workers])
-                for w in range(1, workers)
-            }
+            for w in range(1, workers):
+                receiver, sender = ctx.Pipe(duplex=False)
+                child = ctx.Process(
+                    target=_sweep_child,
+                    args=(sender, args, base_vals, base_sched, values[w::workers]),
+                )
+                child.start()
+                # with no other copy of the write end open, a worker that dies unsent reads as EOF
+                sender.close()
+                children.append((child, receiver))
             rows[0::workers] = _sweep_share(args, base_vals, base_sched, values[0::workers])
-            for w, share in shares.items():
-                rows[w::workers] = share.result()
+        finally:
+            # Read each worker's message before joining it, on every exit
+            # path: its rows can exceed the pipe buffer, and the worker holds
+            # a copy of the read end, so closing ours would not free its send.
+            messages = []
+            for child, receiver in children:
+                with receiver:
+                    try:
+                        messages.append(receiver.recv())
+                    except EOFError:
+                        messages.append(None)
+                child.join()
+        for w, ((child, _), message) in enumerate(zip(children, messages), 1):
+            if message is None:
+                raise ChildProcessError(
+                    f"sweep worker {w} exited with code {child.exitcode} before sending its rows"
+                )
+            if not message[0]:
+                raise message[1] from _WorkerTraceback(message[2])
+            rows[w::workers] = message[1]
 
     stream = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
@@ -646,8 +695,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="W",
-        help="solving processes: this one plus W-1 forked workers (default: "
-        "min(8, usable CPUs, points); 1 forks none); the CSV does not depend on it",
+        help="solving processes: this one plus W-1 worker processes (forked on "
+        "Linux), each sending its rows back over a one-way pipe (default: "
+        "min(8, usable CPUs, points); 1 starts none); the CSV does not depend on it",
     )
     sw.add_argument("--out", help="write CSV here (default: stdout)")
     sw.set_defaults(func=cmd_sweep)

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -418,7 +419,7 @@ def test_sweep_csv_independent_of_workers(tmp_path):
             outs.append(tmp_path / f"w{workers}.csv")
             argv = ["sweep", *sweep[:2], spec, *sweep[2:], "--workers", workers]
             assert main([*argv, "--seed", "1", "--out", str(outs[-1])]) == 0
-            # the pool is shut down, and its workers joined, when main returns
+            # every worker is joined when main returns
             assert multiprocessing.active_children() == []
         assert expect in outs[0].read_text(), name
         for out in outs[1:]:
@@ -426,7 +427,7 @@ def test_sweep_csv_independent_of_workers(tmp_path):
 
 
 def test_sweep_error_in_callers_share_joins_the_pool(tmp_path, monkeypatch):
-    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.process import BaseProcess
 
     spec = write(tmp_path / "spec.txt", "gamma = 0.2\nn = 1\nrate = 1\neps_out = 0.1\n" + LIGHT_SCHEDULE)
     events = []
@@ -438,20 +439,119 @@ def test_sweep_error_in_callers_share_joins_the_pool(tmp_path, monkeypatch):
             raise RuntimeError("point failed")
         return solve_point(args, base_vals, base_sched, value)
 
-    shutdown = ProcessPoolExecutor.shutdown
+    join = BaseProcess.join
 
-    def recording_shutdown(self, *a, **kw):
-        workers = multiprocessing.active_children()
-        shutdown(self, *a, **kw)
-        events.append(("shutdown", [p.exitcode for p in workers]))
+    def recording_join(self, *a, **kw):
+        join(self, *a, **kw)
+        events.append(("join", self.exitcode))
 
     monkeypatch.setattr(cli, "_sweep_point", failing_point)
-    monkeypatch.setattr(ProcessPoolExecutor, "shutdown", recording_shutdown)
+    monkeypatch.setattr(BaseProcess, "join", recording_join)
     with pytest.raises(RuntimeError, match="point failed"):
         main(["sweep", "eps_out", "0.1,0.2,0.3", spec, "--workers", "2", "--out", str(tmp_path / "s.csv")])
     # the one worker had finished its share and been joined before the error left main
-    assert events == ["raise", ("shutdown", [0])]
+    assert events == ["raise", ("join", 0)]
     assert multiprocessing.active_children() == []
+
+
+# these tests patch the point function that a worker runs, which only a forked worker inherits
+forked_workers = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sweep workers fork only on Linux")
+
+
+@forked_workers
+def test_sweep_worker_exception_is_raised_after_the_callers_share(tmp_path, monkeypatch):
+    spec = write(tmp_path / "spec.txt", "gamma = 0.2\nn = 1\nrate = 1\neps_out = 0.1\n" + LIGHT_SCHEDULE)
+    solved = []  # appended to in this process only: a forked worker keeps its own copy
+    solve_point = cli._sweep_point
+
+    def failing_point(args, base_vals, base_sched, value):
+        if value == 0.2:  # values[1::2]: the worker's share
+            raise RuntimeError("point failed")
+        solved.append(value)
+        return solve_point(args, base_vals, base_sched, value)
+
+    monkeypatch.setattr(cli, "_sweep_point", failing_point)
+    with pytest.raises(RuntimeError, match="^point failed$") as info:
+        main(["sweep", "eps_out", "0.1,0.2,0.3", spec, "--workers", "2", "--out", str(tmp_path / "s.csv")])
+    assert solved == [0.1, 0.3]
+    # the worker's traceback text is the cause, as a process pool's would be
+    cause = info.value.__cause__
+    assert isinstance(cause, cli._WorkerTraceback)
+    assert "Traceback" in str(cause) and "failing_point" in str(cause)
+    assert "RuntimeError: point failed" in str(cause)
+    assert not (tmp_path / "s.csv").exists()
+    assert multiprocessing.active_children() == []
+
+
+@forked_workers
+def test_sweep_worker_crash_exits_1(tmp_path, monkeypatch, capsys):
+    spec = write(tmp_path / "spec.txt", "gamma = 0.2\nn = 1\nrate = 1\neps_out = 0.1\n" + LIGHT_SCHEDULE)
+    solve_point = cli._sweep_point
+
+    def crashing_point(args, base_vals, base_sched, value):
+        if value == 0.3:  # values[2::3]: the second worker's share
+            os._exit(3)
+        return solve_point(args, base_vals, base_sched, value)
+
+    monkeypatch.setattr(cli, "_sweep_point", crashing_point)
+    argv = ["sweep", "eps_out", "0.1,0.2,0.3", spec, "--workers", "3", "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sweep worker 2 exited with code 3" in err, err
+    assert not (tmp_path / "s.csv").exists()
+    assert multiprocessing.active_children() == []
+
+
+# A worker's rows over the 64 KiB pipe buffer while the caller's own share
+# fails: the worker blocks in its send until the caller reads the message,
+# so a caller that closed its read end and joined would wait forever.
+_BIG_ROWS_SCRIPT = """
+import json, multiprocessing, sys
+from fadepower import cli
+
+events = []
+solve_point = cli._sweep_point
+
+def point(args, base_vals, base_sched, value):
+    if value == 0.1:  # values[0::2]: the caller's share
+        raise RuntimeError("point failed")
+    return {**solve_point(args, base_vals, base_sched, value), "note": "x" * 200_000}
+
+join = multiprocessing.process.BaseProcess.join
+
+def recording_join(self, *a, **kw):
+    join(self, *a, **kw)
+    events.append(self.exitcode)
+
+cli._sweep_point = point
+multiprocessing.process.BaseProcess.join = recording_join
+try:
+    cli.main(["sweep", "eps_out", "0.1,0.2,0.3", sys.argv[1], "--workers", "2", "--out", sys.argv[2]])
+except RuntimeError as exc:
+    events.append(str(exc))
+events.append(len(multiprocessing.active_children()))
+print(json.dumps(events))
+"""
+
+
+@forked_workers
+def test_sweep_reads_big_worker_rows_before_joining(tmp_path):
+    spec = write(tmp_path / "spec.txt", "gamma = 0.2\nn = 1\nrate = 1\neps_out = 0.1\n" + LIGHT_SCHEDULE)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-c", _BIG_ROWS_SCRIPT, spec, str(tmp_path / "s.csv")]
+    # a session of its own, so that a hung run's worker is killed with it
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the sweep hung with a worker's rows over the pipe buffer")
+    assert proc.returncode == 0
+    # the worker was joined with exit code 0, then the caller's error left main
+    assert json.loads(out) == [0, "point failed", 0]
+    with pytest.raises(ProcessLookupError):  # no process of the run's session is left
+        os.killpg(proc.pid, 0)
 
 
 def test_sweep_worker_count(monkeypatch):
@@ -470,8 +570,15 @@ def test_sweep_worker_count(monkeypatch):
         cli._sweep_workers(0, 20)
 
 
-def test_importing_the_cli_loads_no_multiprocessing():
-    code = "import sys, fadepower.cli; assert 'multiprocessing' not in sys.modules"
+def test_importing_the_cli_loads_no_multiprocessing(tmp_path):
+    spec = write(tmp_path / "spec.txt", "gamma = 0.2\nn = 1\nrate = 1\neps_out = 0.1\n" + LIGHT_SCHEDULE)
+    code = (
+        "import sys, fadepower.cli; assert 'multiprocessing' not in sys.modules\n"
+        # a sweep's workers are plain processes, with no executor behind them
+        f"assert fadepower.cli.main(['sweep', 'eps_out', '0.1,0.2', {spec!r}, '--workers', '2',"
+        f" '--out', {str(tmp_path / 's.csv')!r}]) == 0\n"
+        "assert 'multiprocessing' in sys.modules and 'concurrent.futures' not in sys.modules"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
