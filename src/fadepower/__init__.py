@@ -24,7 +24,6 @@ from .closed_form import (
     n1_epsilon0,
     n1_fixed_solution,
     n1_region,
-    n1_steady,
     n1_variable_search,
     n1_variable_solution,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "n1_epsilon0",
     "n1_fixed_solution",
     "n1_region",
-    "n1_steady",
     "n1_variable_search",
     "n1_variable_solution",
     "outage_probability",

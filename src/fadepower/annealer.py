@@ -45,8 +45,8 @@ exact Lagrangian pass, which also bounds its power from below.
   P_m/c_i)), is convex (infeasible when some rcap_i < r_min, PEAK, or
   sum pi_i rcap_i < R, C1).  Its KKT solution is r_i = clip(x - log2 c_i,
   r_min, rcap_i) for one water level x (Cover & Thomas, Elements of
-  Information Theory, 9.4), which generalises
-  closed_form.n1_variable_solution.  f(x) = sum pi_i clip(x - log2 c_i,
+  Information Theory, 9.4); closed_form.n1_variable_search is one row
+  of it, with state 1 capped at R.  f(x) = sum pi_i clip(x - log2 c_i,
   r_min, rcap_i) is piecewise linear and non-decreasing, with kinks at
   the 2(N+1) points r_min + log2 c_i and rcap_i + log2 c_i.  Its values
   at the sorted kinks follow from the slope on each segment (a
@@ -463,17 +463,18 @@ def _lagrangian_pass(k: float, lo: float, top: float, n: int, gamma: float):
     return best, best_power, dual
 
 
-def _rate_caps(coef, pi, spec: ProblemSpec):
+def _rate_caps(coef, pi, spec: ProblemSpec, r_max=None):
     """log2 c_i, the rate caps rcap_i and each row's feasibility (PEAK and C1).
 
-    rcap_i = min(r_max, log2(1 + P_m/c_i)); a row is feasible when every
+    rcap_i = min(r_max_i, log2(1 + P_m/c_i)), r_max_i = spec.r_max unless
+    r_max gives the states' own ceilings; a row is feasible when every
     rcap_i >= r_min and sum pi_i rcap_i >= R.
     """
     lc = np.log2(coef)
     rcap = spec.peak_power / coef
     rcap += 1.0
     np.log2(rcap, out=rcap)
-    np.minimum(spec.r_max, rcap, out=rcap)
+    np.minimum(spec.r_max if r_max is None else r_max, rcap, out=rcap)
     ok = (rcap >= spec.r_min).all(axis=1)
     ok &= np.einsum("ij,ij->i", rcap, pi) >= spec.avg_rate
     return lc, rcap, ok

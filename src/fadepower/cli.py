@@ -14,12 +14,13 @@ the peak-power capacity); n, eps_out, and rate must always be given.
 
 Results are emitted as JSON (to --out, or stdout when --out is absent)
 with a one-line human summary on the other stream.  ``closed-form`` puts
-the paper's N=1 boundary form and variable-rate R_1 grid beside
-``fixed_optimum``, the fixed-rate solve of the file's seed with its
-certified lower bound.  Sweeps emit CSV with '#'-prefixed comment lines,
-one self-describing row per point; on N=1 rows closed_form_avg_power is
-that lower bound for the fixed-rate problem and the R_1 grid's power for
-the variable-rate one.
+the paper's N=1 fixed-rate boundary form and the variable-rate closed
+form (its rates by the exact water fill) beside ``fixed_optimum``, the
+fixed-rate solve of the file's seed with its certified lower bound.
+Sweeps emit CSV with '#'-prefixed comment lines, one self-describing row
+per point; on N=1 rows closed_form_avg_power is that lower bound for the
+fixed-rate problem and the variable-rate closed form's power for the
+variable-rate one.
 A sweep with ``--workers W`` solves its points in W processes: the calling
 process plus W-1 worker processes (forked on Linux), each sending its rows
 back over a one-way pipe; every process takes every W-th point.  W defaults
@@ -278,8 +279,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_closed_form(args) -> int:
-    if args.grid_points < 2:
-        raise SpecFileError("grid_points must be >= 2")
     fields = _parse_kv_file(args.spec_file, _PROBLEM_KEYS | _SCHEDULE_KEYS)
     spec = _spec_from_values(_typed_values(fields, args.spec_file), args.spec_file)
     if spec.n_states != 1:
@@ -297,7 +296,7 @@ def cmd_closed_form(args) -> int:
     parts = [
         ("fixed_boundary", lambda: entry(*n1_fixed_solution(spec))),
         ("fixed_optimum", fixed_optimum),
-        ("variable_search", lambda: entry(*n1_variable_search(spec, args.grid_points))),
+        ("variable_search", lambda: entry(*n1_variable_search(spec))),
     ]
     for name, fn in parts:
         try:
@@ -664,13 +663,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     cf = sub.add_parser(
         "closed-form",
-        help="N=1 closed forms beside the certified fixed-rate optimum of the file's seed",
+        help="N=1 closed forms (fixed-rate boundary, exact variable-rate water fill) "
+        "beside the certified fixed-rate optimum of the file's seed",
     )
     cf.add_argument("spec_file")
-    cf.add_argument(
-        "--grid-points", dest="grid_points", type=int, default=2001,
-        help="R_1 grid points of the variable-rate closed form",
-    )
     cf.add_argument("--out")
     cf.set_defaults(func=cmd_closed_form)
 

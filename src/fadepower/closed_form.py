@@ -1,17 +1,19 @@
 """Analytical N=1 policies for both problems.
 
 With a single tolerated loss (N=1) the two-state chain admits closed
-forms: the stationary pair (pi0, pi1), the state-0 outage that makes the
-average-loss constraint bind given a terminal outage, and the resulting
-rates and powers.  The fixed-rate boundary form and the variable-rate R_1
-grid keep the average-loss constraint binding and state 1 at eps_out,
+forms: the state-0 outage that makes the average-loss constraint bind
+given a terminal outage, and the resulting rates and powers, weighted by
+markov.product_form.  The fixed-rate boundary form and the variable-rate
+form keep the average-loss constraint binding and state 1 at eps_out,
 which is optimal only where the loss budget is worth spending: they are
-upper bounds on the N=1 optimum, not oracles.  None of this generalizes
-to N > 1.  The fixed-rate optimum at every N, N=1 included, comes from
-the Lagrangian pass behind annealer.solve_fixed, whose lower bound
-certifies it wherever no duality gap is left (at gamma 0.2, eps_out 0.02
-it reaches 11.877 W, where the boundary form gives 12.746 W); the
-variable-rate problem has only the search.
+upper bounds on the N=1 optimum, not oracles.  With the outages fixed,
+the variable-rate form's cheapest rates are the search's water fill
+(annealer._water_fill), exact with no grid over R_1.  None of this
+generalizes to N > 1.  The fixed-rate optimum at every N, N=1 included,
+comes from the Lagrangian pass behind annealer.solve_fixed, whose lower
+bound certifies it wherever no duality gap is left (at gamma 0.2,
+eps_out 0.02 it reaches 11.877 W, where the boundary form gives
+12.746 W); the variable-rate problem has only the search.
 
 All functions reject specs with n_states != 1.
 """
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .annealer import _rate_caps, _water_fill
+from .markov import product_form
 from .policy import Policy, ProblemSpec, average_power, make_policy
 
 
@@ -44,12 +48,10 @@ def n1_epsilon0(gamma: float, eps1: float) -> float:
     return eps0
 
 
-def n1_steady(eps0: float, eps1: float) -> tuple[float, float]:
-    """Stationary pair of the two-state chain, in closed form."""
-    if not (0.0 < eps0 < 1.0 and 0.0 < eps1 < 1.0):
-        raise ValueError("outage probabilities must lie strictly in (0, 1)")
-    denom = 1.0 + eps0 - eps1
-    return (1.0 - eps1) / denom, eps0 / denom
+def _binding_outages(spec: ProblemSpec) -> np.ndarray:
+    """(eps0, eps1) with eps1 = eps_out and the average-loss constraint binding."""
+    _require_n1(spec)
+    return np.array([n1_epsilon0(spec.gamma, spec.eps_out), spec.eps_out])
 
 
 def n1_region(spec: ProblemSpec) -> str:
@@ -69,62 +71,43 @@ def n1_variable_solution(spec: ProblemSpec, r1: float) -> tuple[Policy, float]:
 
         R_0 = (R - r1*pi1) / pi0
 
-    Feasible only when R_0 stays within r_max; a violation means r1 is
-    too small to carry its share of the average rate.
+    Raises ValueError unless R_0 lies within [r_min, r_max] (above it, r1
+    is too small to carry its share of the average rate; below it, too
+    large) and both powers within the peak.
     """
-    _require_n1(spec)
+    eps = _binding_outages(spec)
     if not spec.r_min <= r1 <= spec.r_max:
         raise ValueError("r1 must lie within [r_min, r_max]")
-    eps1 = spec.eps_out
-    eps0 = n1_epsilon0(spec.gamma, eps1)
-    pi0, pi1 = n1_steady(eps0, eps1)
-    r0 = (spec.avg_rate - r1 * pi1) / pi0
+    pi = product_form(eps)
+    r0 = (spec.avg_rate - r1 * pi[1]) / pi[0]
     if r0 > spec.r_max * (1.0 + 1e-12):
         raise ValueError("raise R_min")
-    policy = make_policy((eps0, eps1), (r0, r1), spec.channel)
-    avg = average_power(policy.powers, (pi0, pi1))
-    return policy, avg
+    if r0 < spec.r_min * (1.0 - 1e-12):
+        raise ValueError("R_0 below r_min: lower r1")
+    policy = make_policy(eps, (r0, r1), spec.channel)
+    if max(policy.powers) > spec.peak_power * (1.0 + 1e-12):
+        raise ValueError("peak power infeasible")
+    return policy, average_power(policy.powers, pi)
 
 
-def n1_variable_search(spec: ProblemSpec, grid_points: int = 2001) -> tuple[Policy, float]:
-    """Minimize the variable-rate closed form over a uniform R_1 grid.
+def n1_variable_search(spec: ProblemSpec) -> tuple[Policy, float]:
+    """The cheapest n1_variable_solution over r1, exactly.
 
-    Scans r1 in [r_min, avg_rate] (capped at r_max), discarding grid
-    points whose induced R_0 leaves [r_min, r_max] or whose powers exceed
-    the peak, and returns the cheapest surviving policy.
+    With the outages fixed, the rates are one row of the search's water
+    fill with state 1's cap lowered to R, so r1 ranges over [r_min,
+    min(R, r_max)] and R_0 >= R >= r1, as in n1_variable_solution; C1 binds
+    and C4 and PEAK hold by construction.  Raises ValueError where
+    _rate_caps finds that no rates within the caps meet C1.
     """
-    _require_n1(spec)
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    eps1 = spec.eps_out
-    eps0 = n1_epsilon0(spec.gamma, eps1)
-    pi0, pi1 = n1_steady(eps0, eps1)
-    lo = spec.r_min
-    hi = min(spec.avg_rate, spec.r_max)
-    if hi < lo:
-        raise ValueError("all grid points infeasible")
-
-    r1 = np.linspace(lo, hi, grid_points)
-    r0 = (spec.avg_rate - r1 * pi1) / pi0
-    c0 = spec.channel.noise_power / (-np.log1p(-eps0) * spec.channel.mean_fading_power)
-    c1 = spec.channel.noise_power / (-np.log1p(-eps1) * spec.channel.mean_fading_power)
-    p0 = np.exp2(r0) - 1.0
-    p0 *= c0
-    p1 = np.exp2(r1) - 1.0
-    p1 *= c1
-    ok = (
-        (r0 >= spec.r_min)
-        & (r0 <= spec.r_max)
-        & (p0 <= spec.peak_power)
-        & (p1 <= spec.peak_power)
-    )
-    if not np.any(ok):
-        raise ValueError("all grid points infeasible")
-    avg = pi0 * p0 + pi1 * p1
-    avg[~ok] = np.inf
-    best = int(np.argmin(avg))
-    policy = make_policy((eps0, eps1), (float(r0[best]), float(r1[best])), spec.channel)
-    return policy, average_power(policy.powers, (pi0, pi1))
+    eps = _binding_outages(spec)[None]
+    pi = product_form(eps)
+    ch = spec.channel
+    coef = ch.noise_power / (-np.log1p(-eps) * ch.mean_fading_power)
+    lc, rcap, ok = _rate_caps(coef, pi, spec, (spec.r_max, min(spec.r_max, spec.avg_rate)))
+    if not ok[0]:
+        raise ValueError("no rates within r_min, r_max and the peak meet R")
+    policy = make_policy(eps[0], _water_fill(lc, rcap, pi, spec)[0], ch)
+    return policy, average_power(policy.powers, pi[0])
 
 
 def n1_fixed_solution(spec: ProblemSpec) -> tuple[Policy, float]:
@@ -137,14 +120,11 @@ def n1_fixed_solution(spec: ProblemSpec) -> tuple[Policy, float]:
     """
     _require_n1(spec)
     if spec.eps_out <= spec.gamma:
-        eps1 = spec.eps_out
-        eps0 = n1_epsilon0(spec.gamma, eps1)
+        eps = _binding_outages(spec)
     else:
-        eps0 = eps1 = spec.gamma
+        eps = np.full(2, spec.gamma)
     r = spec.avg_rate
-    policy = make_policy((eps0, eps1), (r, r), spec.channel)
+    policy = make_policy(eps, (r, r), spec.channel)
     if max(policy.powers) > spec.peak_power * (1.0 + 1e-12):
         raise ValueError("peak power infeasible")
-    pi = n1_steady(eps0, eps1)
-    return policy, average_power(policy.powers, pi)
-
+    return policy, average_power(policy.powers, product_form(eps))

@@ -475,8 +475,8 @@ def test_variable_solver_reaches_n1_optimum():
     s = spec1(eps_out=0.1)
     res = solve_variable(s, AnnealingSchedule())
     assert res.best_avg_power == pytest.approx(VARIABLE_OPTIMA[1][2], rel=1e-3)
-    # the grid search pins eps_1 = eps_out, so it is a bound, not an optimum
-    assert res.best_avg_power < n1_variable_search(s, 2001)[1]
+    # the closed form pins eps_1 = eps_out, so it is a bound, not an optimum
+    assert res.best_avg_power < n1_variable_search(s)[1]
 
 
 # Best known variable-rate powers at gamma 0.2, eps_out 0.1, R 1, P_m 100 W

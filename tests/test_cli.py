@@ -17,6 +17,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 PLATEAU_PBAR = 4.481420117724550
 FIXED_PBAR_01 = 5.036825427107048
+VAR_PBAR_01 = 4.326287636938557  # variable-rate closed form at r1 = r_min = 0.001
 
 LIGHT_SCHEDULE = "seed = 3\n"
 
@@ -267,13 +268,18 @@ def test_closed_form_rejects_larger_chain(tmp_path, capsys):
     assert "closed form defined only for N=1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("points", ["1", "-5"])
-def test_closed_form_rejects_fewer_than_two_grid_points(tmp_path, capsys, points):
+def test_closed_form_variable_search_is_exact_and_takes_no_grid_option(tmp_path, capsys):
     spec = write(tmp_path / "cf.txt", "n = 1\neps_out = 0.1\nrate = 1\n")
-    assert main(["closed-form", spec, "--grid-points", points]) == 1
+    # the water fill needs no grid, so the old --grid-points flag is an unknown flag
+    assert main(["closed-form", spec, "--grid-points", "4001"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "grid_points must be >= 2" in err
+    assert "unrecognized arguments: --grid-points 4001" in err
+    out_file = tmp_path / "cf.json"
+    assert main(["closed-form", spec, "--out", str(out_file)]) == 0
+    data = json.loads(out_file.read_text())["variable_search"]
+    assert data["avg_power"] == pytest.approx(VAR_PBAR_01, rel=1e-9)
+    assert data["policy"]["rates"][1] == pytest.approx(0.001, abs=1e-12)
 
 
 def test_closed_form_partial_results_when_peak_binds(tmp_path):

@@ -1,15 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
+from fadepower.annealer import AnnealingSchedule, solve_variable
 from fadepower.channel import ChannelModel, max_rate
 from fadepower.closed_form import (
     n1_epsilon0,
     n1_fixed_solution,
     n1_region,
-    n1_steady,
     n1_variable_search,
     n1_variable_solution,
 )
+from fadepower.markov import steady_state_for
 from fadepower.policy import ProblemSpec, evaluate_fixed, evaluate_variable
 
 CH = ChannelModel()
@@ -43,14 +46,55 @@ def test_epsilon0_infeasible_pair():
         n1_epsilon0(0.9, 0.1)
 
 
+def random_specs(seed: int, count: int) -> list[ProblemSpec]:
+    """Random N=1 specs: gamma 0.02-0.6, eps_out 0.01-0.7, R in {0.5, 1, 2},
+    P_m 2-316 W log-uniform, r_min in {0.001, 0.1, 0.4}, r_max the peak's
+    capacity, and a channel whose N0/Omega is 1 for half of them."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for i in range(count):
+        ch = CH if i % 2 else ChannelModel(mean_fading_power=float(rng.uniform(0.5, 2.0)),
+                                           noise_power=float(rng.uniform(0.5, 2.0)))
+        peak = float(10.0 ** rng.uniform(math.log10(2.0), 2.5))
+        specs.append(ProblemSpec(
+            gamma=float(rng.uniform(0.02, 0.6)), n_states=1, eps_out=float(rng.uniform(0.01, 0.7)),
+            avg_rate=float(rng.choice([0.5, 1.0, 2.0])), r_min=float(rng.choice([0.001, 0.1, 0.4])),
+            r_max=max_rate(peak, ch), peak_power=peak, channel=ch,
+        ))
+    return specs
+
+
+def grid_search(spec: ProblemSpec, points: int = 2001) -> float:
+    """Power of the cheapest n1_variable_solution on a uniform grid of r1 in [r_min, min(R, r_max)].
+
+    The package's variable-rate closed form before it took its rates from
+    the water fill; raises ValueError where no grid point is feasible.
+    """
+    eps1 = spec.eps_out
+    eps0 = n1_epsilon0(spec.gamma, eps1)
+    pi0, pi1 = steady_state_for([eps0, eps1])
+    lo, hi = spec.r_min, min(spec.avg_rate, spec.r_max)
+    if hi < lo:
+        raise ValueError("all grid points infeasible")
+    r1 = np.linspace(lo, hi, points)
+    r0 = (spec.avg_rate - r1 * pi1) / pi0
+    unit = spec.channel.noise_power / spec.channel.mean_fading_power
+    p0 = unit / -np.log1p(-eps0) * (np.exp2(r0) - 1.0)
+    p1 = unit / -np.log1p(-eps1) * (np.exp2(r1) - 1.0)
+    ok = (r0 >= spec.r_min) & (r0 <= spec.r_max) & (p0 <= spec.peak_power) & (p1 <= spec.peak_power)
+    if not np.any(ok):
+        raise ValueError("all grid points infeasible")
+    return float(np.min(np.where(ok, pi0 * p0 + pi1 * p1, np.inf)))
+
+
 def test_steady_pair_reference():
-    p0, p1 = n1_steady(0.225, 0.1)
+    p0, p1 = steady_state_for([0.225, 0.1])
     assert p0 == pytest.approx(0.8, abs=1e-15)
     assert p1 == pytest.approx(0.2, abs=1e-15)
     rng = np.random.default_rng(2)
     for _ in range(100):
         e0, e1 = rng.uniform(0.01, 0.99, 2)
-        a, b = n1_steady(e0, e1)
+        a, b = steady_state_for([e0, e1])
         assert a + b == pytest.approx(1.0, abs=1e-14)
 
 
@@ -82,22 +126,79 @@ def test_variable_solution_rate_ceiling():
         n1_variable_solution(spec1(r_max=1.2), 0.001)
 
 
+@pytest.mark.parametrize(
+    "spec, r1, message",
+    [
+        (spec1(), 4.9, "peak power infeasible"),  # P_1 = 273.9 W > 100 W
+        (spec1(r_min=0.5), 4.0, "R_0 below r_min"),  # R_0 = 0.25
+        (spec1(), 6.0, "R_0 below r_min"),  # R_0 < 0
+    ],
+    ids=["peak", "r0_below_r_min", "r0_negative"],
+)
+def test_variable_solution_rejects_tables_that_break_peak_or_c4(spec, r1, message):
+    with pytest.raises(ValueError, match=message):
+        n1_variable_solution(spec, r1)
+
+
 def test_variable_search_matches_boundary_here():
-    pol, avg = n1_variable_search(spec1(), grid_points=4001)
+    pol, avg = n1_variable_search(spec1())
     assert avg == pytest.approx(VAR_PBAR_01, rel=1e-9)
     assert pol.rates[1] == pytest.approx(0.001, abs=1e-12)
+    assert evaluate_variable(pol, spec1()).feasible
 
 
 def test_variable_search_never_beats_sampled_points():
-    s = spec1(eps_out=0.15, rate=0.8)
-    _, best = n1_variable_search(s, grid_points=4001)
     rng = np.random.default_rng(6)
-    for r1 in rng.uniform(s.r_min, 0.8, 50):
+    compared = 0
+    for s in [spec1(eps_out=0.15, rate=0.8)] + random_specs(7, 60):
         try:
-            _, avg = n1_variable_solution(s, float(r1))
+            _, best = n1_variable_search(s)
+        except ValueError:
+            best = math.inf
+        for r1 in rng.uniform(s.r_min, min(s.avg_rate, s.r_max), 20):
+            try:
+                pol, avg = n1_variable_solution(s, float(r1))
+            except ValueError:
+                continue
+            # a sample the closed form accepts is a feasible table, so the
+            # search found one too, and none cheaper
+            assert evaluate_variable(pol, s).feasible
+            assert best <= avg * (1.0 + 1e-9)
+            compared += 1
+    assert compared > 300
+
+
+def test_variable_search_is_the_limit_of_the_r1_grid():
+    feasible = 0
+    for s in random_specs(2026, 300):
+        try:
+            grid = grid_search(s)
+        except ValueError:
+            with pytest.raises(ValueError):
+                n1_variable_search(s)
+            continue
+        pol, exact = n1_variable_search(s)
+        assert grid * (1.0 - 1e-3) <= exact <= grid * (1.0 + 1e-12)
+        assert evaluate_variable(pol, s).feasible
+        assert pol.rates[1] <= s.avg_rate
+        feasible += 1
+    assert 100 <= feasible < 300
+
+
+def test_variable_solver_is_at_or_below_the_closed_form():
+    # the closed form fixes eps_1 = eps_out and a binding loss budget; the
+    # search is free in both, so it never ends above the form's table
+    checked = 0
+    for s in random_specs(44, 60):
+        try:
+            _, form = n1_variable_search(s)
         except ValueError:
             continue
-        assert best <= avg * (1.0 + 1e-9)
+        res = solve_variable(s, AnnealingSchedule(seed=1))
+        assert res.best_avg_power <= form * (1.0 + 1e-9)
+        assert evaluate_variable(res.best_policy, s).feasible
+        checked += 1
+    assert checked >= 30
 
 
 def test_fixed_solution_bursty_region():
@@ -138,7 +239,7 @@ def test_all_closed_forms_reject_larger_chains():
     for fn in (
         n1_region,
         n1_fixed_solution,
-        lambda q: n1_variable_search(q, 101),
+        n1_variable_search,
         lambda q: n1_variable_solution(q, 0.001),
     ):
         with pytest.raises(ValueError, match="closed form defined only for N=1"):
