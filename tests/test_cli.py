@@ -268,9 +268,18 @@ def test_closed_form_rejects_larger_chain(tmp_path, capsys):
     assert "closed form defined only for N=1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("points", ["1", "-5"])
+def test_closed_form_rejects_fewer_than_two_grid_points(tmp_path, capsys, points):
+    spec = write(tmp_path / "cf.txt", "n = 1\neps_out = 0.1\nrate = 1\n")
+    # the water fill needs no grid, so --grid-points is an unknown flag at any value
+    assert main(["closed-form", spec, "--grid-points", points]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: --grid-points {points}" in err
+
+
 def test_closed_form_variable_search_is_exact_and_takes_no_grid_option(tmp_path, capsys):
     spec = write(tmp_path / "cf.txt", "n = 1\neps_out = 0.1\nrate = 1\n")
-    # the water fill needs no grid, so the old --grid-points flag is an unknown flag
     assert main(["closed-form", spec, "--grid-points", "4001"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
